@@ -21,7 +21,6 @@ from repro.approx.lattice import (
     LatticeSpec,
     SpectrumLattice,
     plan_exact_fn,
-    plan_exact_many_fn,
 )
 from repro.approx.store import (
     LatticeResult,
@@ -43,5 +42,4 @@ __all__ = [
     "interpolate_loglog",
     "peak_rel_error",
     "plan_exact_fn",
-    "plan_exact_many_fn",
 ]

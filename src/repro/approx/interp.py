@@ -17,9 +17,8 @@ fall back to linear flux (which reproduces exact zeros exactly).
 Errors are measured **peak-relative**: ``max |approx - exact|`` over
 bins divided by the exact spectrum's peak.  Per-bin relative error is
 meaningless in the far tail (fluxes underflow toward 0 where even a
-perfect method has huge relative noise); peak-normalized error is the
-metric the repo's fused-kernel gates already use
-(``fused_max_rel_err`` in :mod:`repro.bench.harness`).
+perfect method has huge relative noise); peak-normalized error is what
+a spectrum-level accuracy budget can promise.
 """
 
 from __future__ import annotations

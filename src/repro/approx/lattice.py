@@ -21,10 +21,10 @@ Each bisection cuts ``h`` in half and the O(h^2) interpolation error by
 under its requested budget.
 
 The exact evaluator is pluggable.  :func:`plan_exact_fn` builds one from
-the megabatch plan path — every node evaluation goes through
+the plan path — every node evaluation goes through
 :data:`repro.physics.plan.PLAN_CACHE` and ``SpectrumPlan.execute``, so a
-whole lattice build is one plan compilation plus a vectorized sweep of
-cheap temperature binds (the model-grid precomputation idiom of
+whole lattice build is one plan compilation plus one per-ion kernel
+sweep per node temperature (the model-grid precomputation idiom of
 production astronomy codes).  The service tier instead plugs in its own
 payload evaluator (:class:`repro.approx.store.RequestEvaluator`), so the
 certificate is measured against the very spectra the exact path would
@@ -51,7 +51,6 @@ __all__ = [
     "LatticeSpec",
     "SpectrumLattice",
     "plan_exact_fn",
-    "plan_exact_many_fn",
 ]
 
 #: An exact spectrum evaluator: temperature (K) -> per-bin flux array.
@@ -153,8 +152,8 @@ class SpectrumLattice:
         self.spec = spec
         self.exact_fn = exact_fn
         #: Batched evaluator for node sets whose temperatures are known
-        #: up front (the whole initial build).  Rides the megabatch path
-        #: — one stacked launch instead of a node-by-node loop — and
+        #: up front (the whole initial build) — e.g. the service's
+        #: stacked family evaluation instead of a node-by-node loop.  It
         #: must return bit-identical spectra per temperature.
         self.exact_many_fn = exact_many_fn
         #: Content address of the inputs the node spectra derive from
@@ -293,7 +292,7 @@ class SpectrumLattice:
         """Evaluate a known set of node abscissae, batched when possible.
 
         With no batched evaluator this is exactly the node-by-node loop;
-        with one, all temperatures go through a single megabatched call
+        with one, all temperatures go through a single batched call
         (bit-identical per node by the :data:`ExactManyFn` contract) and
         the eval counter advances by the same amount either way.
         """
@@ -367,12 +366,11 @@ def plan_exact_fn(
     ne_cm3: float = 1.0,
     plan_cache=None,
 ) -> ExactFn:
-    """An :data:`ExactFn` over the megabatch plan path.
+    """An :data:`ExactFn` over the plan path.
 
     All evaluations share one compiled :class:`~repro.physics.plan.
-    SpectrumPlan` out of the plan cache — building a lattice is exactly
-    the cheap sweep the plan was designed for: compile once, bind a
-    temperature per node, one fused launch each.
+    SpectrumPlan` out of the plan cache: compile once, then one per-ion
+    kernel sweep per node temperature.
     """
     from repro.physics.apec import GridPoint
     from repro.physics.plan import PLAN_CACHE
@@ -389,40 +387,3 @@ def plan_exact_fn(
 
     return exact
 
-
-def plan_exact_many_fn(
-    db,
-    grid,
-    ions=None,
-    method: str = "simpson",
-    pieces: int = 64,
-    k: int = 7,
-    gl_points: int = 12,
-    tail_tol: float = 0.0,
-    gaunt: bool = True,
-    ne_cm3: float = 1.0,
-    plan_cache=None,
-) -> ExactManyFn:
-    """An :data:`ExactManyFn` over ``SpectrumPlan.execute_many``.
-
-    The batched companion of :func:`plan_exact_fn`: a whole lattice
-    build becomes one plan lookup plus a single stacked-exp megabatch
-    over every node temperature, bit-identical per node to the scalar
-    evaluator.
-    """
-    from repro.physics.apec import GridPoint
-    from repro.physics.plan import PLAN_CACHE
-
-    cache = plan_cache if plan_cache is not None else PLAN_CACHE
-
-    def exact_many(temps_k: list[float]) -> list[np.ndarray]:
-        plan = cache.get(
-            db, grid, ions=ions, method=method, pieces=pieces, k=k,
-            gl_points=gl_points, tail_tol=tail_tol, gaunt=gaunt,
-        )
-        points = [
-            GridPoint(temperature_k=float(t), ne_cm3=ne_cm3) for t in temps_k
-        ]
-        return [res.values for res in plan.execute_many(points)]
-
-    return exact_many

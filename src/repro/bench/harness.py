@@ -10,11 +10,10 @@ perf trajectory of the repo itself, enforceable in CI.
 Determinism contract: every number under a case's ``"sim"`` key derives
 from the virtual clock (makespans, virtual throughput, utilization,
 hit rates, pruning ledgers) and is **bit-identical across runs** of the
-same seed and mode — the comparator gates on those.  ``"wall_s"`` and
-the optional per-case ``"wall_metrics"`` dict (e.g. measured parallel
-speedups) are host wall-clock quantities, recorded for trend plots but
-never gated (CI machines are noisy; the simulated metrics are the
-repo's actual claims).
+same seed and mode — the comparator gates on those.  ``"wall_s"`` is
+the host wall-clock time of the case, recorded for trend plots but never
+gated (CI machines are noisy).  Wall-clock performance at paper scale is
+measured by ``perfbench/`` instead.
 
 The schema is hand-rolled (:func:`validate_bench`) so CI needs no
 third-party JSON-Schema package.
@@ -309,80 +308,6 @@ def _case_continuous_batching(quick: bool, seed: int) -> dict:
             "batched_temperatures": float(tel.batched_temperatures),
             "same_trace_utilization_ratio": b_util / u_util if u_util else 0.0,
             "same_trace_p95_ratio": b_p95 / u_p95 if u_p95 else 0.0,
-        },
-    }
-
-
-def _case_fused_megabatch(quick: bool, seed: int) -> dict:
-    """Megabatch fusion: pass-count ledger (sim) + wall speedups (ungated).
-
-    The gated metric is ``fused_pass_ratio`` — per-ion kernel launches
-    divided by fused megabatch passes over a temperature sweep, a pure
-    counting argument independent of the host.  The wall-clock speedups
-    (fused vs per-ion, process backend vs serial) land under
-    ``wall_metrics``: recorded for trend plots, never gated.
-    ``parallel_speedup`` is bounded above by ``cpu_count`` (recorded
-    alongside it) — on a single-CPU host it can only show the process
-    backend's overhead, never a gain.
-    """
-    import os
-
-    import numpy as np
-
-    from repro.bench.workloads import small_real_database, small_real_grid
-    from repro.physics.apec import GridPoint, SerialAPEC
-
-    db = small_real_database()
-    grid = small_real_grid(n_bins=120 if quick else 400)
-    temps = (8.0e6, 1.0e7, 1.25e7) if quick else (
-        6.0e6, 8.0e6, 1.0e7, 1.2e7, 1.5e7, 2.0e7
-    )
-    points = [GridPoint(temperature_k=t, ne_cm3=1.0) for t in temps]
-    tail_tol = 1.0e-9
-
-    def model(**kw) -> SerialAPEC:
-        return SerialAPEC(
-            db, grid, method="simpson-batch", components=("rrc",),
-            tail_tol=tail_tol, **kw,
-        )
-
-    def sweep(apec: SerialAPEC) -> list[np.ndarray]:
-        return [apec.compute(p).values for p in points]
-
-    def timed(apec: SerialAPEC) -> tuple[list[np.ndarray], float]:
-        sweep(apec)  # warm caches (plans, pools, windows) off the clock
-        t0 = time.perf_counter()
-        out = sweep(apec)
-        return out, time.perf_counter() - t0
-
-    legacy = model()
-    fused = model(fused=True, shards=1)
-    spectra_legacy, wall_legacy = timed(legacy)
-    spectra_fused, wall_fused = timed(fused)
-    fused_passes = 0
-    for p in points:
-        fused.compute(p)
-        fused_passes += fused.last_plan_stats["n_passes"]
-    per_ion_launches = sum(
-        1 for ion in db.ions if db.n_levels(ion) > 0
-    ) * len(points)
-    rel_err = max(
-        float(np.max(np.abs(f - l)) / max(float(np.max(np.abs(l))), 1e-300))
-        for f, l in zip(spectra_fused, spectra_legacy)
-    )
-    with model(backend="process", jobs=2, shards=4) as par:
-        _, wall_process = timed(par)
-    return {
-        "wall_s": wall_legacy + wall_fused + wall_process,
-        "sim": {
-            "fused_pass_ratio": per_ion_launches / fused_passes,
-            "fused_passes": float(fused_passes),
-            "fused_max_rel_err": rel_err,
-        },
-        "wall_metrics": {
-            "fused_speedup": wall_legacy / wall_fused,
-            "parallel_speedup": wall_legacy / wall_process,
-            "cpu_count": float(os.cpu_count() or 1),
         },
     }
 
@@ -718,7 +643,6 @@ def _case_predictive_scheduling(quick: bool, seed: int) -> dict:
 CASES: dict[str, Callable] = {
     "rrc_spectrum": _case_rrc_spectrum,
     "pruned_kernels": _case_pruned_kernels,
-    "fused_megabatch": _case_fused_megabatch,
     "service_throughput": _case_service_throughput,
     "continuous_batching": _case_continuous_batching,
     "approx_serving": _case_approx_serving,
@@ -811,17 +735,6 @@ def validate_bench(doc: object) -> list[str]:
                     f"{where}.sim[{metric!r}]: expected number, "
                     f"got {type(value).__name__}"
                 )
-        wall_metrics = case.get("wall_metrics")
-        if wall_metrics is not None:
-            if not isinstance(wall_metrics, dict):
-                errors.append(f"{where}.wall_metrics: expected object")
-                continue
-            for metric, value in wall_metrics.items():
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    errors.append(
-                        f"{where}.wall_metrics[{metric!r}]: expected number, "
-                        f"got {type(value).__name__}"
-                    )
     return errors
 
 
@@ -868,7 +781,6 @@ DEFAULT_TOLERANCES: dict[str, Tolerance] = {
     "device_utilization": Tolerance(0.05, "higher"),
     "cache_hit_rate": Tolerance(0.02, "higher"),
     "evals_saved": Tolerance(0.02, "higher"),
-    "fused_pass_ratio": Tolerance(0.02, "higher"),
     "lattice_hit_rate": Tolerance(0.02, "higher"),
     "within_budget": Tolerance(0.0, "higher"),
     "utilization_vs_unbatched": Tolerance(0.05, "higher"),
@@ -965,8 +877,6 @@ def render_bench(doc: dict) -> str:
     for name, case in doc.get("cases", {}).items():
         for metric, value in case.get("sim", {}).items():
             rows.append([name, metric, f"{value:.6g}", "sim"])
-        for metric, value in (case.get("wall_metrics") or {}).items():
-            rows.append([name, metric, f"{value:.6g}", "wall"])
         rows.append([name, "wall_s", f"{case.get('wall_s', 0.0):.4f}", "wall"])
     mode = "quick" if doc.get("quick") else "full"
     return format_table(

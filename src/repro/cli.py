@@ -95,13 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="serve from a plan-backed log-T lattice with "
                         "this certified relative-error budget (rrc "
                         "component only; 0 = exact path)")
-    p.add_argument("--fused", action="store_true",
-                   help="execute the RRC component as cached megabatch "
-                        "plans (all ions of a shard in one launch)")
     _add_backend_flags(p)
     p.add_argument("--shards", type=int, default=8,
-                   help="work shards of the ion set (backend-independent; "
-                        "1 = maximal fusion)")
+                   help="work shards of the ion set on the thread/process "
+                        "backends (backend-independent; never changes "
+                        "the spectrum bits)")
     p.add_argument("--json", action="store_true",
                    help="machine-readable output (one JSON object)")
     _add_obs_flags(p)
@@ -602,7 +600,6 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         method="simpson-batch",
         components=tuple(args.components),
         tail_tol=args.tail_tol,
-        fused=args.fused,
         backend=args.backend,
         jobs=args.jobs,
         shards=args.shards,

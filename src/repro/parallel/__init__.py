@@ -5,9 +5,9 @@ event clock; this package is about *real* time — sharding real NumPy
 work across host cores so ``repro spectrum`` / ``serve`` and the bench
 harness get multi-core speedups on actual hardware.
 
-See :mod:`repro.parallel.executor` for the backend protocol and
-:func:`repro.parallel.executor.tree_reduce` for the deterministic
-reduction that keeps every backend bit-identical to serial execution.
+See :mod:`repro.parallel.executor` for the backend protocol and the
+sharding and ordering rules that keep every backend bit-identical to
+serial execution.
 """
 
 from repro.parallel.executor import (
@@ -19,7 +19,6 @@ from repro.parallel.executor import (
     default_jobs,
     get_backend,
     shard_items,
-    tree_reduce,
 )
 
 __all__ = [
@@ -31,5 +30,4 @@ __all__ = [
     "default_jobs",
     "get_backend",
     "shard_items",
-    "tree_reduce",
 ]

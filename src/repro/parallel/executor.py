@@ -9,10 +9,10 @@ becomes backend-dependent.  Two rules enforce it:
    into a fixed number of shards decided by the caller (not by ``jobs``),
    so the partial results are the same arrays no matter how many workers
    exist or in which order they finish.
-2. **Reduction order is fixed.**  :func:`tree_reduce` combines partials
-   in deterministic pairwise rounds; since every backend reduces the same
-   shard arrays in the same order, serial, thread and process execution
-   agree bit for bit.
+2. **Reduction order is fixed.**  ``map`` returns results in input
+   order, and callers reduce them in that order; since every backend
+   hands back the same arrays in the same order, serial, thread and
+   process execution agree bit for bit.
 
 ``map`` preserves input order (results arrive as submitted, regardless of
 completion order).  The process backend requires picklable functions and
@@ -24,7 +24,7 @@ from __future__ import annotations
 import atexit
 import concurrent.futures
 import os
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "get_backend",
     "shard_items",
     "shutdown_warm_pools",
-    "tree_reduce",
 ]
 
 T = TypeVar("T")
@@ -264,22 +263,3 @@ def shard_items(items: Sequence[T], n_shards: int) -> list[tuple[T, ...]]:
         tuple(items[bounds[i]: bounds[i + 1]]) for i in range(n_shards)
     ]
 
-
-def tree_reduce(parts: Iterable[np.ndarray]) -> np.ndarray:
-    """Deterministic pairwise sum of partial arrays.
-
-    Adjacent pairs are combined round by round (odd tail carried over),
-    so the floating-point association depends only on the number and
-    order of partials — identical across serial/thread/process backends.
-    """
-    arrs = [np.asarray(p, dtype=np.float64) for p in parts]
-    if not arrs:
-        raise ValueError("tree_reduce needs at least one partial")
-    while len(arrs) > 1:
-        merged = [
-            arrs[i] + arrs[i + 1] for i in range(0, len(arrs) - 1, 2)
-        ]
-        if len(arrs) % 2:
-            merged.append(arrs[-1])
-        arrs = merged
-    return arrs[0]

@@ -18,11 +18,15 @@ paths:
   (default, 64 pieces) or Romberg (accuracy-scaled by ``k``) rules.
 
 Both paths produce a per-bin array that :class:`SerialAPEC` accumulates
-into a :class:`~repro.physics.spectrum.Spectrum`.
+into a :class:`~repro.physics.spectrum.Spectrum`, in ion order, on every
+execution backend.  Sharded and plan-driven execution
+(:mod:`repro.physics.plan`) call the same per-ion functions; there is no
+separate all-ion kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -37,7 +41,6 @@ from repro.parallel.executor import (
     ExecutionBackend,
     get_backend,
     shard_items,
-    tree_reduce,
 )
 from repro.physics.ionbalance import ion_density
 from repro.physics.rrc import (
@@ -70,8 +73,7 @@ __all__ = [
     "ApecModel",
 ]
 
-#: Model-level method name -> batch kernel name (the fused plan layer
-#: only exists for the vectorized kernels).
+#: Model-level method name -> batch kernel name.
 _BATCH_METHOD = {
     "simpson-batch": "simpson",
     "romberg": "romberg",
@@ -102,14 +104,19 @@ class GridPoint:
     time_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.temperature_k <= 0.0:
-            raise ValueError("temperature must be positive")
-        if self.ne_cm3 < 0.0:
-            raise ValueError("electron density must be non-negative")
+        if not (math.isfinite(self.temperature_k) and self.temperature_k > 0.0):
+            raise ValueError("temperature must be finite and positive")
+        if not (math.isfinite(self.ne_cm3) and self.ne_cm3 >= 0.0):
+            raise ValueError("electron density must be finite and non-negative")
 
     @property
     def kt_kev(self) -> float:
         return K_B_KEV * self.temperature_k
+
+
+def _check_tail_tol(tail_tol: float) -> None:
+    if not (math.isfinite(tail_tol) and tail_tol >= 0.0):
+        raise ValueError("tail_tol must be finite and non-negative")
 
 
 def level_params_for(
@@ -388,8 +395,7 @@ def ion_emissivity_batched(
     tail mass per level.  ``tail_tol = 0`` (default) runs the original
     unpruned kernels bit-for-bit.
     """
-    if tail_tol < 0.0:
-        raise ValueError("tail_tol must be non-negative")
+    _check_tail_tol(tail_tol)
     if method == "simpson":
         if tail_tol > 0.0:
             return _fused_simpson_windows(
@@ -449,8 +455,7 @@ def ion_emissivity_scalar(
     ``tail_tol > 0`` clamps each level's bin loop to its active window
     (same budget as the batched path); ``0`` scans every bin.
     """
-    if tail_tol < 0.0:
-        raise ValueError("tail_tol must be non-negative")
+    _check_tail_tol(tail_tol)
     ls = db.levels(ion)
     out = np.zeros(grid.n_bins, dtype=np.float64)
     win: LevelWindows | None = None
@@ -502,7 +507,6 @@ class _RRCShard:
     gaunt: bool
     tail_tol: float
     abundances: AbundanceSet
-    fused: bool
 
 
 #: Per-process memo of rebuilt databases (worker processes pay the level
@@ -519,42 +523,20 @@ def _worker_db(n_max: int, z_max: int) -> AtomicDatabase:
     return db
 
 
-def _rrc_shard_worker(task: _RRCShard) -> tuple[np.ndarray, dict[str, int]]:
+def _rrc_shard_worker(task: _RRCShard) -> np.ndarray:
     """Compute one shard's RRC emission (module-level: process-picklable).
 
-    Fused shards execute one megabatch plan (compiled once per process by
-    the plan cache) and return the shard's per-bin partial plus launch
-    statistics.  Unfused shards return the *stacked per-ion* arrays so
-    the parent can reduce them in exact ion order — bit-identical to the
-    serial loop on every backend.
+    Returns the *stacked per-ion* arrays so the parent can reduce them in
+    exact ion order — bit-identical to the serial loop on every backend.
     """
-    db = _worker_db(task.n_max, task.z_max)
-    grid = EnergyGrid(task.edges)
-    if task.fused:
-        from repro.physics.plan import PLAN_CACHE
-
-        plan = PLAN_CACHE.get(
-            db, grid, ions=task.ions,
-            method=_BATCH_METHOD[task.method],
-            pieces=task.pieces, k=task.k,
-            tail_tol=task.tail_tol, gaunt=task.gaunt,
-        )
-        res = plan.execute(task.point, task.abundances)
-        stats = {
-            "n_passes": res.n_passes,
-            "n_pairs": res.n_pairs,
-            "n_pairs_skipped": res.n_pairs_skipped,
-            "evals_saved": res.evals_saved,
-        }
-        return res.values, stats
     model = SerialAPEC(
-        db, grid, method=task.method, pieces=task.pieces, k=task.k,
+        _worker_db(task.n_max, task.z_max), EnergyGrid(task.edges),
+        method=task.method, pieces=task.pieces, k=task.k,
         gaunt=task.gaunt, abundances=task.abundances, tail_tol=task.tail_tol,
     )
-    rows = np.stack(
+    return np.stack(
         [model.ion_emissivity(ion, task.point) for ion in task.ions]
     )
-    return rows, {}
 
 
 class SerialAPEC:
@@ -574,24 +556,18 @@ class SerialAPEC:
     tail_tol:
         Relative tail tolerance of active-window pruning; ``0`` (the
         default) disables pruning and reproduces the unpruned kernels
-        bit-for-bit.
-    fused:
-        Execute each grid point's RRC component as megabatch plans
-        (:mod:`repro.physics.plan`) — all ions of a shard in one fused
-        launch, compiled once and cached across grid points.  Requires a
-        batch method.  Results agree with the per-ion path to summation-
-        order rounding (<= ~1e-12 relative), not bit-for-bit.
+        bit-for-bit.  Must be finite.
     backend / jobs:
         Wall-clock execution backend for the RRC ion loop: ``serial``
-        (default; the unfused serial path is bit-for-bit the original
-        loop), ``thread`` or ``process`` (see :mod:`repro.parallel`).
-        Any backend produces the same spectrum bits as ``serial`` at the
-        same ``fused`` setting.
+        (default; the original in-process loop), ``thread`` or
+        ``process`` (see :mod:`repro.parallel`).  Every backend runs the
+        same per-ion kernel and sums the ions in the same order, so any
+        backend produces the same spectrum bits as ``serial``.
     shards:
-        Number of work shards the ion set is split into.  Deliberately
-        independent of ``jobs`` so results do not depend on worker
-        count; lower it to 1 for maximal fusion, raise it for better
-        load balance.
+        Number of work shards the ion set is split into on the thread
+        and process backends.  Deliberately independent of ``jobs``;
+        fewer shards mean fewer round trips, more shards better load
+        balance.  The spectrum bits never depend on it.
     """
 
     def __init__(
@@ -605,7 +581,6 @@ class SerialAPEC:
         components: tuple[str, ...] = ("rrc",),
         abundances: AbundanceSet = SOLAR,
         tail_tol: float = 0.0,
-        fused: bool = False,
         backend: str = "serial",
         jobs: int | None = None,
         shards: int = 8,
@@ -617,16 +592,10 @@ class SerialAPEC:
             raise ValueError(f"unknown components {sorted(unknown)}")
         if not components:
             raise ValueError("need at least one emission component")
-        if tail_tol < 0.0:
-            raise ValueError("tail_tol must be non-negative")
+        _check_tail_tol(tail_tol)
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
-        if fused and method not in _BATCH_METHOD:
-            raise ValueError(
-                f"fused execution requires a batch method "
-                f"({sorted(_BATCH_METHOD)}), got {method!r}"
             )
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -639,12 +608,9 @@ class SerialAPEC:
         self.components = tuple(components)
         self.abundances = abundances
         self.tail_tol = tail_tol
-        self.fused = fused
         self.backend = backend
         self.jobs = jobs
         self.shards = shards
-        #: Launch statistics of the last fused compute (None otherwise).
-        self.last_plan_stats: dict[str, int] | None = None
         self._backend_obj: ExecutionBackend | None = None
 
     def _get_backend(self) -> ExecutionBackend:
@@ -683,15 +649,12 @@ class SerialAPEC:
     ) -> np.ndarray:
         """RRC per-bin totals of one grid point over ``ions``.
 
-        Serial + unfused runs the original per-ion loop in-process.
-        Otherwise the ion set is split into backend-independent shards;
-        unfused shards ship per-ion arrays back and are reduced in exact
-        ion order (bit-identical to the serial loop), fused shards are
-        megabatch partials combined by a deterministic tree reduction
-        (bit-identical across backends).
+        The serial backend runs the per-ion loop in-process.  Otherwise
+        the ion set is split into backend-independent shards whose
+        workers ship per-ion arrays back, reduced here in exact ion order
+        (bit-identical to the serial loop).
         """
-        self.last_plan_stats = None
-        if not self.fused and self.backend == "serial":
+        if self.backend == "serial":
             out = np.zeros(self.grid.n_bins, dtype=np.float64)
             for ion in ions:
                 out += self.ion_emissivity(ion, point)
@@ -712,24 +675,11 @@ class SerialAPEC:
                 gaunt=self.gaunt,
                 tail_tol=self.tail_tol,
                 abundances=self.abundances,
-                fused=self.fused,
             )
             for shard in shards
         ]
-        results = self._get_backend().map(_rrc_shard_worker, tasks)
-        if self.fused:
-            totals = {
-                "n_passes": 0, "n_pairs": 0,
-                "n_pairs_skipped": 0, "evals_saved": 0,
-            }
-            for _, stats in results:
-                for name in totals:
-                    totals[name] += stats[name]
-            totals["n_shards"] = len(shards)
-            self.last_plan_stats = totals
-            return tree_reduce([values for values, _ in results])
         out = np.zeros(self.grid.n_bins, dtype=np.float64)
-        for block, _ in results:
+        for block in self._get_backend().map(_rrc_shard_worker, tasks):
             for row in block:
                 out += row
         return out
@@ -739,8 +689,8 @@ class SerialAPEC:
 
         Sums the configured emission components: ``rrc`` (the paper's
         workload), ``lines`` (collisional line emission) and ``brems``
-        (free-free continuum).  Only the RRC component uses the fused /
-        parallel execution paths; the others stay serial.
+        (free-free continuum).  Only the RRC component uses the parallel
+        execution backends; the others stay serial.
         """
         spectrum = Spectrum.zeros(
             self.grid,

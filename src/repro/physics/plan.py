@@ -1,25 +1,24 @@
 """Compiled spectrum plans and the cross-request plan cache.
 
-``SerialAPEC`` re-derives the same temperature-independent structure —
-level parameters, flat Kramers+Milne constants, active-window searches —
-for every ion on every grid point of every request.  A
-:class:`SpectrumPlan` compiles that structure *once* per
-``(database, grid, ion set, method, rule knobs, tail_tol, gaunt)``
-combination into flat structure-of-arrays form:
+A :class:`SpectrumPlan` compiles the temperature-independent structure of
+one ``(database, grid, ion set, method, rule knobs, tail_tol, gaunt)``
+combination *once*, in flat structure-of-arrays form:
 
-- ``energy_kev`` / ``c_base`` — per-level binding energies and the
-  temperature-independent part of the flat constant ``C_l``, concatenated
-  over all ions (one global "row" index per level);
-- ``ion_index`` / ``offsets`` — the level-to-ion indirection used to
-  broadcast per-ion prefactors and to split per-ion statistics back out;
+- ``energy_kev`` — per-level binding energies, concatenated over all ions
+  (one global "row" index per level);
+- ``ion_index`` / ``offsets`` — the level-to-ion indirection used to split
+  per-ion counts back out;
 - per-ion ``e_min`` — feeds the vectorized per-ion Gaunt tail budget so
   the plan's windows reproduce :func:`repro.physics.windows.level_windows`
   ion by ion, bit for bit.
 
-Executing a plan at a grid point binds the temperature-dependent pieces
-(windows for ``kT``, per-ion prefactors) and issues one megabatch launch
-(:mod:`repro.quadrature.megabatch`) over the fused windows of every ion —
-a handful of vectorized passes instead of one launch per ion.
+A plan has two jobs.  Its windows, memoized per ``kT``, and
+:meth:`SpectrumPlan.per_ion_active` price service tasks from the real
+active (level, bin) pairs.  :meth:`SpectrumPlan.execute` computes the RRC
+spectrum at a grid point with the one per-ion kernel,
+:func:`repro.physics.apec.ion_emissivity_batched`, looped over the plan's
+ions in order with the plan's rule knobs — bit-identical to the serial
+``SerialAPEC`` loop over the same ions.
 
 :class:`PlanCache` content-addresses compiled plans so repeated grid
 points, parameter sweeps, and cache-miss service requests reuse them; hit,
@@ -33,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -41,23 +40,12 @@ import numpy as np
 from repro.atomic.abundances import SOLAR, AbundanceSet
 from repro.atomic.database import AtomicDatabase
 from repro.atomic.ions import Ion
-from repro.constants import K_B_KEV, ME_C2_KEV, SIGMA_KRAMERS_CM2, maxwellian_norm
-from repro.physics.ionbalance import ion_density
+from repro.physics.apec import _check_tail_tol, ion_emissivity_batched
+# Unused here, but perfbench's traced run wraps ``plan.ion_density``.
+from repro.physics.ionbalance import ion_density  # noqa: F401
 from repro.physics.rrc import gaunt_factor
-from repro.physics.spectrum import EnergyGrid
+from repro.physics.spectrum import EnergyGrid, Spectrum
 from repro.physics.windows import GAUNT_SUP
-from repro.quadrature.batch import (
-    _chunks,
-    _flatten_windows,
-    simpson_weights,
-    unit_fractions,
-)
-from repro.quadrature.megabatch import (
-    MegabatchResult,
-    megabatch_gauss_windows,
-    megabatch_romberg_windows,
-    megabatch_simpson_windows,
-)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.trace import Tracer, Track
@@ -74,10 +62,6 @@ __all__ = [
 ]
 
 PLAN_METHODS = ("simpson", "romberg", "gauss")
-
-#: Scratch elements per cache block of the factorized pair loop — sized
-#: so the per-block gather + rational buffers stay L2-resident.
-_PAIR_BLOCK_ELEMENTS = 1 << 14
 
 
 def db_fingerprint(db: AtomicDatabase) -> str:
@@ -105,7 +89,7 @@ def ions_fingerprint(ions: Iterable[Ion]) -> str:
 class PlanKey:
     """Content address of one compiled plan.
 
-    Every field that changes the compiled structure or the launch math is
+    Every field that changes the compiled structure or the kernel math is
     part of the key; anything temperature-dependent is deliberately *not*
     (plans are reused across grid points and bound at execution time).
     """
@@ -122,11 +106,11 @@ class PlanKey:
 
 
 class SpectrumPlan:
-    """Temperature-independent compiled form of one fused RRC launch.
+    """Temperature-independent compiled form of one RRC configuration.
 
-    Built by :meth:`PlanCache.get` (or :func:`compile_plan`); execute with
-    :meth:`execute` at any grid point.  Immutable after construction apart
-    from the small per-``kT`` window memo.
+    Built by :meth:`PlanCache.get`; execute with :meth:`execute` at any
+    grid point.  Immutable after construction apart from the small
+    per-``kT`` window memo.
     """
 
     #: Window sets memoized per plan (parameter sweeps revisit few kTs).
@@ -140,10 +124,10 @@ class SpectrumPlan:
         ions: tuple[Ion, ...],
     ) -> None:
         self.key = key
+        self.db = db
         self.grid = grid
         self.ions = ions
         energies: list[np.ndarray] = []
-        c_base: list[np.ndarray] = []
         offsets = np.zeros(len(ions) + 1, dtype=np.int64)
         e_min = np.full(len(ions), np.inf)
         for i, ion in enumerate(ions):
@@ -152,34 +136,19 @@ class SpectrumPlan:
             if len(ls) == 0:
                 continue
             energies.append(ls.energy_kev)
-            # Temperature-independent factor of the Kramers+Milne flat
-            # constant: C_l = prefactor(T) * c_base_l.
-            c_base.append(
-                (ls.degeneracy / 2.0)
-                * SIGMA_KRAMERS_CM2
-                * ls.n_arr
-                * ls.energy_kev**3
-                / (2.0 * ME_C2_KEV * ls.c_eff**2)
-            )
             e_min[i] = float(ls.energy_kev.min())
-        if energies:
-            self.energy_kev = np.concatenate(energies)
-            self.c_base = np.concatenate(c_base)
-        else:
-            self.energy_kev = np.zeros(0)
-            self.c_base = np.zeros(0)
+        self.energy_kev = np.concatenate(energies) if energies else np.zeros(0)
         self.offsets = offsets
         self.e_min_ion = e_min
         self.ion_index = np.repeat(
             np.arange(len(ions), dtype=np.int64), np.diff(offsets)
         )
-        for arr in (self.energy_kev, self.c_base, self.offsets,
-                    self.e_min_ion, self.ion_index):
+        for arr in (self.energy_kev, self.offsets, self.e_min_ion,
+                    self.ion_index):
             arr.setflags(write=False)
         self._window_memo: OrderedDict[float, tuple[np.ndarray, np.ndarray]]
         self._window_memo = OrderedDict()
         self._memo_lock = threading.Lock()
-        self._simpson_shared_arrays: tuple[np.ndarray, ...] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -187,7 +156,7 @@ class SpectrumPlan:
         return int(self.energy_kev.size)
 
     def windows(self, kt_kev: float) -> tuple[np.ndarray, np.ndarray]:
-        """Fused per-level ``(first, cutoff)`` windows at one temperature.
+        """Per-level ``(first, cutoff)`` windows of all ions at one ``kT``.
 
         Vectorized over all ions at once, but with the tail budget
         computed *per ion* (the Gaunt safety factor depends on each ion's
@@ -251,265 +220,35 @@ class SpectrumPlan:
         np.cumsum(counts, out=csum[1:])
         return csum[self.offsets[1:]] - csum[self.offsets[:-1]]
 
-    def flat_constants(
-        self, point: "GridPointLike", abundances: AbundanceSet = SOLAR
-    ) -> np.ndarray:
-        """Per-level flat constants C_l at one grid point (all ions)."""
-        kt = point.kt_kev
-        ne = point.ne_cm3
-        norm = maxwellian_norm(kt / K_B_KEV)
-        pref = np.empty(len(self.ions))
-        for i, ion in enumerate(self.ions):
-            n_ion = ion_density(
-                ion, point.temperature_k, ne, abundances=abundances
-            )
-            pref[i] = ne * n_ion * 4.0 * norm / kt
-        return pref[self.ion_index] * self.c_base
-
-    def _simpson_shared(self) -> tuple[np.ndarray, ...]:
-        """Temperature-independent Simpson node arrays, built once per plan.
-
-        Every quantity here depends only on the grid and the rule knobs:
-        the full-grid node matrix ``x_all``, its ``cbrt``, the per-bin
-        step ``h_all = width / pieces`` and its outer product with the
-        Simpson weights, and the per-level ``1 / cbrt(I_l)``.  The
-        factorized executor *slices* these instead of recomputing them —
-        elementwise ufuncs make the slice bit-identical to computing on
-        the slice — so repeated and batched executions amortize every
-        transcendental except ``exp(-E/kT)`` itself.
-        """
-        shared = self._simpson_shared_arrays
-        if shared is None:
-            pieces = self.key.pieces
-            w = simpson_weights(pieces)
-            frac = unit_fractions(pieces + 1)
-            grid = self.grid
-            x_all = grid.lower[:, None] + grid.widths[:, None] * frac[None, :]
-            cbrt_all = np.cbrt(x_all)
-            h_all = grid.widths / pieces
-            hw_all = h_all[:, None] * w[None, :]
-            with np.errstate(divide="ignore"):
-                inv_cbrt = 1.0 / np.cbrt(self.energy_kev)
-            shared = (w, frac, x_all, cbrt_all, h_all, hw_all, inv_cbrt)
-            for arr in shared:
-                arr.setflags(write=False)
-            self._simpson_shared_arrays = shared
-        return shared
-
-    def _factorized_safe(self, kt: float) -> bool:
-        """Whether the shared-abscissa rescaling holds at this ``kT``.
-
-        Mirrors the guard inside :meth:`_execute_simpson_factorized`:
-        ``exp(I_l/kT) * exp(-E/kT)`` must neither overflow nor cost more
-        relative precision than the tail budget tolerates.
-        """
-        from repro.physics.apec import _SAFE_RESCALE_ARG
-
-        tail_tol = self.key.tail_tol
-        if tail_tol <= 0.0 or self.n_levels == 0:
-            return False
-        arg = (float(self.energy_kev.max()) + float(self.grid.upper[-1])) / kt
-        return (
-            arg < _SAFE_RESCALE_ARG
-            and arg * np.finfo(np.float64).eps < 0.05 * tail_tol
-        )
-
     def execute(
         self, point: "GridPointLike", abundances: AbundanceSet = SOLAR
-    ) -> MegabatchResult:
-        """One fused launch: the grid point's full RRC spectrum + stats."""
-        kt = point.kt_kev
-        first, cutoff = self.windows(kt)
-        if self.n_levels == 0:
-            return MegabatchResult(np.zeros(self.grid.n_bins), 0, 0, 0, 0)
-        c_l = self.flat_constants(point, abundances)
-        f = _flat_window_integrand(self.energy_kev, c_l, kt, self.key.gaunt)
-        if self.key.method == "simpson":
-            fast = self._execute_simpson_factorized(first, cutoff, c_l, kt)
-            if fast is not None:
-                return fast
-            return megabatch_simpson_windows(
-                f, self.grid.edges, first, cutoff,
-                lower_clip=self.energy_kev, pieces=self.key.pieces,
-            )
-        if self.key.method == "romberg":
-            return megabatch_romberg_windows(
-                f, self.grid.edges, first, cutoff,
-                lower_clip=self.energy_kev, k=self.key.k,
-            )
-        return megabatch_gauss_windows(
-            f, self.grid.edges, first, cutoff,
-            lower_clip=self.energy_kev, n=self.key.gl_points,
-        )
+    ) -> Spectrum:
+        """The grid point's RRC spectrum, one per-ion kernel call per ion.
 
-    def execute_many(
-        self,
-        points: Iterable["GridPointLike"],
-        abundances: AbundanceSet = SOLAR,
-    ) -> list[MegabatchResult]:
-        """Execute one plan at N grid points with shared launch setup.
-
-        The temperature axis of the factorized Simpson path is batched:
-        ``exp(-x/kT)`` for every temperature is issued as *one* stacked
-        ufunc call over the plan's shared node matrix, and the node
-        ``cbrt``/weight products are reused from the per-plan memo — so a
-        group of N compatible requests pays the transcendental setup once
-        instead of N times.  Each element of the result is bit-identical
-        to ``execute(points[i])``: the stacked exp is elementwise, so its
-        i-th row equals the per-temperature exp exactly, and every other
-        array on the path is shared (not recomputed) between the two
-        entry points.  Non-Simpson methods and temperatures rejected by
-        the rescaling guard fall back to a per-point :meth:`execute`
-        loop.
+        Loops :func:`~repro.physics.apec.ion_emissivity_batched` over
+        :attr:`ions` in order with this plan's rule knobs, so the values
+        are bit-identical to ``SerialAPEC(..., backend="serial")
+        .compute(point, ions=plan.ions)`` with the same knobs.
         """
-        points = list(points)
-        if not points:
-            return []
-        results: list[MegabatchResult | None] = [None] * len(points)
-        batch: list[tuple[int, float]] = []
-        if self.key.method == "simpson":
-            for i, point in enumerate(points):
-                kt = float(point.kt_kev)
-                if self._factorized_safe(kt):
-                    batch.append((i, kt))
-        if batch:
-            x_all = self._simpson_shared()[2]
-            kts = np.array([kt for _, kt in batch])
-            with np.errstate(under="ignore"):
-                exp_stack = np.exp(-x_all[None, :, :] / kts[:, None, None])
-            for j, (i, kt) in enumerate(batch):
-                first, cutoff = self.windows(kt)
-                c_l = self.flat_constants(points[i], abundances)
-                results[i] = self._execute_simpson_factorized(
-                    first, cutoff, c_l, kt, exp_full=exp_stack[j]
+        key = self.key
+        spectrum = Spectrum.zeros(
+            self.grid,
+            temperature_k=point.temperature_k,
+            ne_cm3=point.ne_cm3,
+            method=key.method,
+            components=("rrc",),
+            tail_tol=key.tail_tol,
+        )
+        for ion in self.ions:
+            spectrum.accumulate(
+                ion_emissivity_batched(
+                    self.db, ion, point, self.grid,
+                    method=key.method, pieces=key.pieces, k=key.k,
+                    gl_points=key.gl_points, gaunt=key.gaunt,
+                    abundances=abundances, tail_tol=key.tail_tol,
                 )
-        for i, point in enumerate(points):
-            if results[i] is None:
-                results[i] = self.execute(point, abundances)
-        return results
-
-    def _execute_simpson_factorized(
-        self,
-        first: np.ndarray,
-        cutoff: np.ndarray,
-        c_l: np.ndarray,
-        kt: float,
-        exp_full: np.ndarray | None = None,
-    ) -> MegabatchResult | None:
-        """Shared-abscissa Simpson megabatch (all ions fused, one exp).
-
-        The megabatch analogue of
-        :func:`repro.physics.apec._fused_simpson_windows`: every full bin
-        (not split by a recombination edge) uses the same Simpson nodes
-        for *every level of every ion*, so ``exp(-E/kT)`` and the Gaunt
-        factor's ``cbrt`` are computed once per launch over the bin union
-        and each (level, bin) pair only rescales by
-        ``C_l * exp(I_l/kT)`` plus the cheap Gaunt rational.  Edge bins
-        keep per-level nodes.  Returns ``None`` when the rescaling would
-        overflow or cost more precision than the tail budget allows — the
-        caller then takes the generic unfactored megabatch.
-
-        ``exp_full``, when given, is the precomputed ``exp(-x/kT)`` over
-        the *whole* grid's node matrix (one row of the stacked exp that
-        :meth:`execute_many` issues for N temperatures at once); the bin
-        union is sliced out of it.
-        """
-        if not self._factorized_safe(kt):
-            return None
-        energies = self.energy_kev
-        grid = self.grid
-
-        n_bins = grid.n_bins
-        out = np.zeros(n_bins, dtype=np.float64)
-        active = first < cutoff
-        if not active.any():
-            return MegabatchResult(out, 0, 0, 0, 0)
-        pieces = self.key.pieces
-        w, frac, x_all, cbrt_all, h_all, hw_all, inv_cbrt = (
-            self._simpson_shared()
-        )
-        n_passes = 0
-
-        # --- edge pairs: the one bin per level split by its
-        # recombination edge needs level-specific abscissae (from I_l up).
-        has_edge = active & (
-            grid.lower[np.minimum(first, n_bins - 1)] < energies
-        )
-        n_edge = int(np.count_nonzero(has_edge))
-        if n_edge:
-            b_e = first[has_edge]
-            i_e = energies[has_edge][:, None]
-            width_e = grid.upper[b_e][:, None] - i_e
-            x = i_e + width_e * frac[None, :]
-            with np.errstate(over="ignore", under="ignore"):
-                y = np.exp(-(x - i_e) / kt)
-                if self.key.gaunt:
-                    y = y * gaunt_factor(x / i_e)
-            vals = (width_e[:, 0] / pieces) * (y @ w) * c_l[has_edge]
-            # Levels of different ions can share one edge bin ->
-            # unbuffered scatter-add.
-            np.add.at(out, b_e, vals)
-            n_passes += 1
-
-        # --- full bins: shared abscissae across the union of windows.
-        start = np.minimum(np.where(has_edge, first + 1, first), cutoff)
-        full = start < cutoff
-        if not full.any():
-            return MegabatchResult(out, n_passes, n_edge, 0, 0)
-        bmin = int(start[full].min())
-        bmax = int(cutoff[full].max())
-        if exp_full is not None:
-            e_sh = exp_full[bmin:bmax]
-        else:
-            with np.errstate(under="ignore"):
-                e_sh = np.exp(-x_all[bmin:bmax] / kt)
-        h_u = h_all[bmin:bmax]
-        scale = c_l * np.exp(np.where(full, energies, 0.0) / kt)
-        n_passes += 1
-
-        if not self.key.gaunt:
-            # The integrand factorizes completely: each level contributes
-            # scale_l * base[b] on its window, so accumulate the per-bin
-            # sum of scales with a difference array (O(levels + bins)).
-            base = h_u * (e_sh @ w)
-            diff = np.zeros(bmax - bmin + 1)
-            np.add.at(diff, start[full] - bmin, scale[full])
-            np.add.at(diff, cutoff[full] - bmin, -scale[full])
-            out[bmin:bmax] += np.cumsum(diff[:-1]) * base
-            n_full = int((cutoff[full] - start[full]).sum())
-            return MegabatchResult(out, n_passes, n_edge + n_full, 0, 0)
-
-        # With the Gaunt correction the per-(level, bin) factor
-        # g(E / I_l) remains, but its cbrt is shared: g = (a + b*c) /
-        # (d + e*c^2) with c = cbrt(E) / cbrt(I_l), so each chunk of the
-        # flat (row, bin) batch gathers the shared transcendentals and
-        # pays only cheap rational arithmetic per pair.
-        rows, bins = _flatten_windows(start, cutoff)
-        rel = bins - bmin
-        cbrt_sh = cbrt_all[bmin:bmax]
-        ehw = e_sh * hw_all[bmin:bmax]
-        # One logical launch per memory-bounded chunk (what a device
-        # would issue); within a chunk the host evaluation blocks pairs
-        # so the rational-arithmetic scratch stays cache-resident — the
-        # CPU analogue of the launch's thread blocks.
-        n_passes += sum(1 for _ in _chunks(rows.size, pieces + 1))
-        vals = np.empty(rows.size)
-        block = max(1, _PAIR_BLOCK_ELEMENTS // (pieces + 1))
-        for s in range(0, rows.size, block):
-            sl = slice(s, min(s + block, rows.size))
-            c = cbrt_sh[rel[sl]] * inv_cbrt[rows[sl]][:, None]
-            np.maximum(c, 1.0, out=c)
-            num = 0.1728 * c
-            num += 1.0 - 0.1728
-            den = c * c
-            den *= 0.0496
-            den += 1.0 - 0.0496
-            num /= den
-            vals[sl] = scale[rows[sl]] * np.einsum(
-                "bp,bp->b", num, ehw[rel[sl]]
             )
-        out += np.bincount(bins, weights=vals, minlength=n_bins)
-        return MegabatchResult(out, n_passes, n_edge + int(rows.size), 0, 0)
+        return spectrum
 
 
 class GridPointLike:
@@ -518,26 +257,6 @@ class GridPointLike:
     temperature_k: float
     ne_cm3: float
     kt_kev: float
-
-
-def _flat_window_integrand(
-    energies: np.ndarray, c_l: np.ndarray, kt: float, gaunt: bool
-):
-    """Megabatch form of the collapsed Eq. (1) integrand.
-
-    Identical math to ``repro.physics.apec._window_integrand``; ``rows``
-    index the plan's flat level arrays instead of one ion's levels.
-    """
-
-    def f(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        i_r = energies[rows][:, None]
-        with np.errstate(over="ignore", under="ignore"):
-            y = np.exp(-np.maximum(x - i_r, 0.0) / kt)
-            if gaunt:
-                y = y * gaunt_factor(np.maximum(x / i_r, 1.0))
-        return c_l[rows][:, None] * y
-
-    return f
 
 
 @dataclass
@@ -612,8 +331,7 @@ class PlanCache:
     ) -> tuple[PlanKey, tuple[Ion, ...]]:
         if method not in PLAN_METHODS:
             raise ValueError(f"unknown plan method {method!r}")
-        if tail_tol < 0.0:
-            raise ValueError("tail_tol must be non-negative")
+        _check_tail_tol(tail_tol)
         ion_set = tuple(ions) if ions is not None else db.ions
         key = PlanKey(
             db=db_fingerprint(db),

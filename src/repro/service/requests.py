@@ -15,6 +15,7 @@ cached and returned to clients.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,10 +90,10 @@ class SpectrumRequest:
     accuracy: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.temperature_k <= 0.0:
-            raise ValueError("temperature must be positive")
-        if self.ne_cm3 <= 0.0:
-            raise ValueError("density must be positive")
+        if not (math.isfinite(self.temperature_k) and self.temperature_k > 0.0):
+            raise ValueError("temperature must be finite and positive")
+        if not (math.isfinite(self.ne_cm3) and self.ne_cm3 > 0.0):
+            raise ValueError("density must be finite and positive")
         if self.z_max < 1:
             raise ValueError("z_max must be >= 1")
         if self.n_bins < 1:
@@ -101,8 +102,8 @@ class SpectrumRequest:
             raise ValueError(f"unknown rule {self.rule!r}; expected {_RULES}")
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
-        if self.tail_tol < 0.0:
-            raise ValueError("tail tolerance must be non-negative")
+        if not (math.isfinite(self.tail_tol) and self.tail_tol >= 0.0):
+            raise ValueError("tail tolerance must be finite and non-negative")
         if self.accuracy < 0.0:
             raise ValueError("accuracy budget must be non-negative")
 

@@ -1,6 +1,5 @@
-"""Execution backends: sharding, reduction, and map-order contracts."""
+"""Execution backends: sharding and map-order contracts."""
 
-import numpy as np
 import pytest
 
 from repro.parallel.executor import (
@@ -12,7 +11,6 @@ from repro.parallel.executor import (
     get_backend,
     shard_items,
     shutdown_warm_pools,
-    tree_reduce,
 )
 from repro.quadrature.batch import KERNEL_COUNTERS
 
@@ -86,28 +84,6 @@ class TestShardItems:
     def test_zero_shards_raises(self):
         with pytest.raises(ValueError, match="n_shards"):
             shard_items([1], 0)
-
-
-class TestTreeReduce:
-    def test_matches_pairwise_rounds(self):
-        rng = np.random.default_rng(7)
-        parts = [rng.standard_normal(32) for _ in range(5)]
-        # Manual pairwise rounds: ((p0+p1)+(p2+p3)) + p4.
-        expected = ((parts[0] + parts[1]) + (parts[2] + parts[3])) + parts[4]
-        np.testing.assert_array_equal(tree_reduce(parts), expected)
-
-    def test_single_partial_passthrough(self):
-        a = np.arange(4, dtype=np.float64)
-        np.testing.assert_array_equal(tree_reduce([a]), a)
-
-    def test_deterministic_across_calls(self):
-        rng = np.random.default_rng(11)
-        parts = [rng.standard_normal(64) for _ in range(7)]
-        np.testing.assert_array_equal(tree_reduce(parts), tree_reduce(parts))
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError, match="at least one"):
-            tree_reduce([])
 
 
 class TestProcessBackend:

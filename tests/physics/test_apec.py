@@ -28,6 +28,33 @@ class TestGridPoint:
         with pytest.raises(ValueError):
             GridPoint(**kwargs)
 
+    @pytest.mark.parametrize(
+        "temperature_k, ne_cm3",
+        [
+            (float("nan"), 1.0),
+            (float("inf"), 1.0),
+            (1.0e7, float("nan")),
+            (1.0e7, float("inf")),
+        ],
+    )
+    def test_non_finite_rejected(self, temperature_k, ne_cm3):
+        with pytest.raises(ValueError, match="finite"):
+            GridPoint(temperature_k=temperature_k, ne_cm3=ne_cm3)
+
+
+@pytest.mark.parametrize("tail_tol", [float("nan"), float("inf")])
+class TestNonFiniteTailTol:
+    def test_model_rejects(self, tiny_db, grid_small, tail_tol):
+        with pytest.raises(ValueError, match="tail_tol"):
+            SerialAPEC(tiny_db, grid_small, method="simpson-batch", tail_tol=tail_tol)
+
+    @pytest.mark.parametrize("kernel", [ion_emissivity_batched, ion_emissivity_scalar])
+    def test_kernels_reject(
+        self, tiny_db, hot_point, grid_small, oxygen_h_like, kernel, tail_tol
+    ):
+        with pytest.raises(ValueError, match="tail_tol"):
+            kernel(tiny_db, oxygen_h_like, hot_point, grid_small, tail_tol=tail_tol)
+
 
 class TestLevelParams:
     def test_params_match_database(self, tiny_db, hot_point, oxygen_h_like):

@@ -2,13 +2,10 @@
 
 The promises pinned here:
 
-1. The unfused shard path (any backend) is bit-identical to the legacy
-   in-process serial loop — per-ion partials are reduced in exact ion
-   order by the parent.
-2. The fused megabatch path is bit-identical across serial, thread and
-   process backends for a fixed shard count (deterministic tree
-   reduction of the same shard partials).
-3. Backend/shard configuration never leaks into *which* numbers are
+1. The shard path (any backend) is bit-identical to the in-process
+   serial loop — per-ion partials are reduced in exact ion order by the
+   parent.
+2. Backend/shard configuration never leaks into *which* numbers are
    computed — only into wall-clock time.
 """
 
@@ -66,46 +63,10 @@ class TestUnfusedDeterminism:
                 )
 
 
-class TestFusedDeterminism:
-    @pytest.fixture(scope="class")
-    def fused_serial(self, db, grid, point) -> np.ndarray:
-        return _model(db, grid, fused=True, shards=4).compute(point).values
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_bit_identical_across_backends(
-        self, db, grid, point, fused_serial, backend
-    ):
-        with _model(
-            db, grid, fused=True, backend=backend, jobs=2, shards=4
-        ) as model:
-            values = model.compute(point).values
-        np.testing.assert_array_equal(values, fused_serial)
-
-    def test_close_to_unfused_path(self, db, grid, point, serial_reference):
-        # Fused reassociates the per-ion sums (tree reduction + megabatch
-        # scatter), so agreement is to rounding, not bit-exact.
-        values = _model(db, grid, fused=True, shards=4).compute(point).values
-        scale = float(np.abs(serial_reference).max())
-        assert np.abs(values - serial_reference).max() <= 1.0e-12 * scale
-
-    def test_records_launch_statistics(self, db, grid, point):
-        model = _model(db, grid, fused=True, shards=2)
-        model.compute(point)
-        stats = model.last_plan_stats
-        assert stats is not None
-        assert stats["n_shards"] == 2
-        assert stats["n_passes"] >= 2
-        assert stats["n_pairs"] > 0
-
-
 class TestConfigurationValidation:
     def test_unknown_backend_rejected(self, db, grid):
         with pytest.raises(ValueError, match="backend"):
             _model(db, grid, backend="mpi")
-
-    def test_fused_requires_batch_method(self, db, grid):
-        with pytest.raises(ValueError, match="fused"):
-            SerialAPEC(db, grid, method="qags", fused=True)
 
     def test_shards_validated(self, db, grid):
         with pytest.raises(ValueError, match="shards"):

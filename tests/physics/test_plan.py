@@ -2,10 +2,11 @@
 
 Pinned promises:
 
-1. A plan's fused windows and per-ion active counts match the per-ion
+1. A plan's windows and per-ion active counts match the per-ion
    :func:`repro.physics.windows.level_windows` search exactly.
-2. A fused megabatch execution matches the per-ion kernel path within
-   1e-12 relative on seeded (temperature, method) combinations.
+2. Executing a plan is bit-identical to the serial ``SerialAPEC`` loop
+   over the plan's ions on seeded (temperature, method, tail tolerance)
+   combinations.
 3. The cache is content-addressed: identical inputs hit, every key knob
    (grid, method, pieces, k, tail tolerance, Gaunt flag) misses, and a
    temperature change never recompiles (plans are T-independent).
@@ -16,7 +17,7 @@ import pytest
 
 from repro.atomic.database import AtomicConfig, AtomicDatabase
 from repro.constants import K_B_KEV
-from repro.physics.apec import GridPoint, ion_emissivity_batched
+from repro.physics.apec import GridPoint, SerialAPEC
 from repro.physics.plan import PlanCache, SpectrumPlan
 from repro.physics.spectrum import EnergyGrid
 from repro.physics.windows import level_windows
@@ -30,6 +31,10 @@ def db() -> AtomicDatabase:
 @pytest.fixture(scope="module")
 def grid() -> EnergyGrid:
     return EnergyGrid.from_wavelength(10.0, 45.0, 48)
+
+
+#: Plan method -> the SerialAPEC method running the same per-ion kernel.
+_MODEL_METHOD = {"simpson": "simpson-batch", "romberg": "romberg", "gauss": "gauss"}
 
 
 def _get(cache: PlanCache, db, grid, **kw) -> SpectrumPlan:
@@ -74,79 +79,20 @@ class TestPlanStructure:
         assert a[0] is b[0] and a[1] is b[1]
 
 
-class TestMegabatchEquivalence:
+class TestPlanExecution:
+    @pytest.mark.parametrize("tail_tol", [0.0, 1.0e-9])
     @pytest.mark.parametrize("method", ["simpson", "romberg", "gauss"])
-    def test_matches_per_ion_path_seeded(self, db, grid, method):
+    def test_matches_per_ion_path_seeded(self, db, grid, method, tail_tol):
         rng = np.random.default_rng(2015)
-        plan = _get(PlanCache(), db, grid, method=method)
+        plan = _get(PlanCache(), db, grid, method=method, tail_tol=tail_tol)
+        model = SerialAPEC(
+            db, grid, method=_MODEL_METHOD[method], pieces=32, k=5,
+            tail_tol=tail_tol, backend="serial",
+        )
         for temperature in 10 ** rng.uniform(6.3, 7.3, size=3):
             point = GridPoint(temperature_k=float(temperature), ne_cm3=1.0)
-            expected = np.zeros(grid.n_bins)
-            for ion in db.ions:
-                if db.n_levels(ion) == 0:
-                    continue
-                expected += ion_emissivity_batched(
-                    db, ion, point, grid, method=method,
-                    pieces=32, k=5, tail_tol=1.0e-9,
-                )
-            got = plan.execute(point).values
-            scale = float(np.abs(expected).max())
-            assert np.abs(got - expected).max() <= 1.0e-12 * scale
-
-    def test_factorized_matches_generic_megabatch(self, db, grid):
-        plan = _get(PlanCache(), db, grid, method="simpson")
-        point = GridPoint(temperature_k=1.0e7, ne_cm3=1.0)
-        fast = plan.execute(point)
-        # Disable the shared-abscissa fast path on this instance only.
-        plan._execute_simpson_factorized = lambda *a, **k: None
-        generic = plan.execute(point)
-        assert fast.n_pairs == generic.n_pairs + generic.n_pairs_skipped
-        scale = float(np.abs(generic.values).max())
-        assert np.abs(fast.values - generic.values).max() <= 1.0e-12 * scale
-
-    def test_execute_reports_launch_statistics(self, db, grid):
-        plan = _get(PlanCache(), db, grid)
-        res = plan.execute(GridPoint(temperature_k=1.0e7, ne_cm3=1.0))
-        assert res.n_passes >= 1
-        assert res.n_pairs > 0
-        assert res.values.shape == (grid.n_bins,)
-
-
-class TestExecuteMany:
-    @pytest.mark.parametrize("method", ["simpson", "romberg", "gauss"])
-    def test_bit_identical_to_per_point_execute(self, db, grid, method):
-        plan = _get(PlanCache(), db, grid, method=method)
-        points = [
-            GridPoint(temperature_k=t, ne_cm3=1.0)
-            for t in (4.0e6, 1.0e7, 2.5e7)
-        ]
-        many = plan.execute_many(points)
-        assert len(many) == len(points)
-        for point, res in zip(points, many):
-            single = plan.execute(point)
-            np.testing.assert_array_equal(res.values, single.values)
-            assert res.n_pairs == single.n_pairs
-
-    def test_empty_and_single_point(self, db, grid):
-        plan = _get(PlanCache(), db, grid)
-        assert plan.execute_many([]) == []
-        point = GridPoint(temperature_k=1.0e7, ne_cm3=1.0)
-        np.testing.assert_array_equal(
-            plan.execute_many([point])[0].values, plan.execute(point).values
-        )
-
-    def test_unsafe_temperatures_fall_back_per_point(self, db, grid):
-        # A kT far outside the rescaling guard's comfort zone must not
-        # poison the batch: the guard routes it through execute().
-        plan = _get(PlanCache(), db, grid)
-        points = [
-            GridPoint(temperature_k=t, ne_cm3=1.0) for t in (1.0e4, 1.0e7)
-        ]
-        many = plan.execute_many(points)
-        for point, res in zip(points, many):
-            np.testing.assert_array_equal(
-                res.values, plan.execute(point).values
-            )
+            expected = model.compute(point, ions=plan.ions).values
+            np.testing.assert_array_equal(plan.execute(point).values, expected)
 
 
 class TestPlanCache:
@@ -205,6 +151,13 @@ class TestPlanCache:
     def test_rejects_unknown_method(self, db, grid):
         with pytest.raises(ValueError, match="method"):
             _get(PlanCache(), db, grid, method="midpoint")
+
+    @pytest.mark.parametrize("tail_tol", [float("nan"), float("inf"), -1.0])
+    def test_rejects_non_finite_or_negative_tail_tol(self, db, grid, tail_tol):
+        cache = PlanCache()
+        with pytest.raises(ValueError, match="tail_tol"):
+            _get(cache, db, grid, tail_tol=tail_tol)
+        assert len(cache) == 0
 
     def test_stats_as_dict(self, db, grid):
         cache = PlanCache()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.quadrature.batch import (
+    KERNEL_COUNTERS,
     batch_gauss_windows,
     batch_romberg,
     batch_romberg_windows,
@@ -252,3 +253,52 @@ class TestWindowKernels:
             batch_romberg_windows(
                 f_rows, self.edges, np.array([0]), np.array([1]), k=-1
             )
+
+
+@pytest.fixture()
+def clipped_windows():
+    """A small ragged window set with one zero-width (clipped) pair."""
+    edges = np.linspace(0.0, 1.0, 9)
+    first = np.array([0, 2, 5, 8])
+    cutoff = np.array([3, 6, 8, 8])
+    # Row 1's clip sits exactly on a bin's upper edge -> its first pair
+    # [0.25, 0.375) clamps to [0.375, 0.375): zero width, elidable.
+    clip = np.array([0.0, 0.375, 0.4, 0.9])
+    return edges, first, cutoff, clip
+
+
+class TestZeroWidthCounters:
+    def test_batch_kernels_book_elisions(self, clipped_windows):
+        edges, first, cutoff, clip = clipped_windows
+        KERNEL_COUNTERS.reset()
+        batch_simpson_windows(
+            f_rows, edges, first, cutoff, lower_clip=clip, pieces=8
+        )
+        snap = KERNEL_COUNTERS.snapshot()
+        assert snap["zero_width_pairs"] == 1
+        assert snap["evals_saved"] == 9
+        KERNEL_COUNTERS.reset()
+        assert KERNEL_COUNTERS.snapshot() == {
+            "zero_width_pairs": 0,
+            "evals_saved": 0,
+            "pool_creates": 0,
+            "pool_reuses": 0,
+            "map_chunks": 0,
+            "map_items": 0,
+        }
+
+    def test_gauss_kernel_books_too(self, clipped_windows):
+        edges, first, cutoff, clip = clipped_windows
+        KERNEL_COUNTERS.reset()
+        batch_gauss_windows(
+            f_rows, edges, first, cutoff, lower_clip=clip, n=6
+        )
+        assert KERNEL_COUNTERS.zero_width_pairs == 1
+        assert KERNEL_COUNTERS.evals_saved == 6
+        KERNEL_COUNTERS.reset()
+
+    def test_unclipped_books_nothing(self, clipped_windows):
+        edges, first, cutoff, _ = clipped_windows
+        KERNEL_COUNTERS.reset()
+        batch_simpson_windows(f_rows, edges, first, cutoff, pieces=8)
+        assert KERNEL_COUNTERS.zero_width_pairs == 0

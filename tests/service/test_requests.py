@@ -33,6 +33,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             SpectrumRequest(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"temperature_k": float("nan")},
+            {"temperature_k": float("inf")},
+            {"temperature_k": 1e7, "ne_cm3": float("nan")},
+            {"temperature_k": 1e7, "ne_cm3": float("inf")},
+            {"temperature_k": 1e7, "tail_tol": float("nan")},
+        ],
+    )
+    def test_rejects_non_finite_fields(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            SpectrumRequest(**kwargs)
+
 
 class TestContentAddress:
     def test_equal_requests_equal_keys(self):

@@ -38,7 +38,7 @@ class TestParser:
             ["serve", "--profile", "--flamegraph", "out.collapsed"],
             ["serve", "--slo", "--slo-p95", "1.5"],
             ["spectrum", "--profile"],
-            ["spectrum", "--fused", "--backend", "process", "--jobs", "2",
+            ["spectrum", "--backend", "process", "--jobs", "2",
              "--shards", "4"],
             ["serve", "--backend", "thread", "--jobs", "2"],
             ["bench", "--quick", "--seed", "3"],
@@ -118,21 +118,21 @@ class TestCommands:
         assert len(payload["flux"]) == 12
         assert payload["components"] == ["rrc"]
 
-    def test_spectrum_fused_backend_matches_serial(self, capsys):
+    def test_spectrum_backend_matches_serial(self, capsys):
         import json
 
         argv = ["spectrum", "--bins", "12", "--tail-tol", "1e-9", "--json"]
         assert main(argv) == 0
         serial = json.loads(capsys.readouterr().out)
-        fused = argv + ["--fused", "--backend", "thread", "--jobs", "2"]
-        assert main(fused) == 0
+        threaded = argv + ["--backend", "thread", "--jobs", "2"]
+        assert main(threaded) == 0
         parallel = json.loads(capsys.readouterr().out)
-        assert parallel["flux"] == pytest.approx(serial["flux"], rel=1e-12)
+        assert parallel["flux"] == serial["flux"]
 
     def test_spectrum_metrics_include_plan_cache(self, tmp_path):
         metrics = tmp_path / "metrics.prom"
         assert main([
-            "spectrum", "--bins", "12", "--tail-tol", "1e-9", "--fused",
+            "spectrum", "--bins", "12", "--tail-tol", "1e-9",
             "--metrics", str(metrics),
         ]) == 0
         text = metrics.read_text()
