@@ -1,10 +1,21 @@
 """The end-to-end hybrid runner — the architecture of Fig. 2.
 
 The main program divides the parameter space into equal subspaces (one or
-more grid points per MPI rank); each rank walks its tasks, asking the
-local scheduler for a device per task.  Admitted tasks run on the chosen
-GPU while the rank blocks (the paper's synchronous mode); rejected tasks
-run on the rank's own CPU with the serial QAGS routine.
+more grid points per MPI rank); each rank walks its tasks through one
+loop: prep, ``SCHE-ALLOC``, then a GPU run (released by ``SCHE-FREE``)
+or, when every queue is full, a run on the rank's own CPU with the
+serial QAGS routine.
+
+Every scheduler drives that same loop; what differs is data chosen from
+the config:
+
+- the *admission price* — one slot for the depth schedulers, or the
+  predicted seconds of the online EWMA cost model for ``predictive``;
+- the *submission route* — straight to the chosen GPU, or through the
+  per-device predictive dispatch queues (where idle devices steal);
+- the *in-flight window* — ``async_depth``: 0 blocks the rank on each
+  GPU task (the paper's synchronous mode); n > 0 keeps up to n in flight
+  (the paper's "future work" asynchronous mode).
 
 Besides the hybrid run, the runner prices the two baselines every speedup
 in the paper is quoted against:
@@ -12,16 +23,13 @@ in the paper is quoted against:
 - :meth:`HybridRunner.serial_time` — the original serial APEC;
 - :meth:`HybridRunner.run_mpi_only` — the 24-rank pure-MPI version
   (13.5x over serial, per the paper).
-
-An asynchronous mode (bounded in-flight submissions per rank) implements
-the paper's "future work" paragraph and is exercised by an ablation
-bench.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Generator, Optional
 
 import numpy as np
@@ -67,22 +75,13 @@ class HybridConfig:
     #: model, with work stealing in the dispatch loop).
     scheduler_kind: str = "shared"
     rpc_latency_s: float = 5.0e-4
-    #: Work stealing on the predictive dispatch path: an idle device
-    #: pulls from the tail of the most-loaded pending queue.  Results
-    #: are bit-identical either way (placement prices, never answers);
-    #: off is the ablation that isolates placement from stealing.
-    steal: bool = True
-    #: Predictive CPU-fallback threshold, in predicted *seconds*: a task
-    #: whose best predicted finish time exceeds this runs on the rank's
-    #: CPU instead.  ``None`` keeps only the slot-count bound.
-    cpu_threshold_s: Optional[float] = None
     #: 0 = synchronous (the paper's implementation); n > 0 allows each
     #: rank n outstanding GPU tasks (the "future work" asynchronous mode).
     async_depth: int = 0
     #: Per-rank start offset modelling real MPI startup skew (ranks never
     #: hit the scheduler in perfect lockstep); 0.2 s spreads the 24 ranks
     #: over ~5 s, killing the artificial t=0 admission burst.
-    stagger_s: Optional[float] = 0.2
+    stagger_s: float = 0.2
     #: Tie-breaking rule among equally loaded devices ("history" = the
     #: paper's minimum-history rule; "first" = positional, for ablation).
     tie_break: str = "history"
@@ -108,8 +107,6 @@ class HybridConfig:
                 "predictive scheduling dispatches through per-device "
                 "workers; async_depth applies only to direct-submit modes"
             )
-        if self.cpu_threshold_s is not None and self.cpu_threshold_s <= 0.0:
-            raise ValueError("cpu_threshold_s must be positive or None")
         if self.devices is not None and len(self.devices) != self.n_gpus:
             raise ValueError(
                 f"devices tuple has {len(self.devices)} entries for "
@@ -265,23 +262,21 @@ class HybridRunner:
         start = clock.now
         metrics = MetricsLedger(cfg.n_gpus, cfg.max_queue_length, start_time=start)
         metrics.evals_saved = sum(t.kernel.evals_saved for t in tasks)
-        if tracer.enabled:
-            device_tracks = [
-                tracer.track(self.scope, f"gpu{d}") for d in range(cfg.n_gpus)
-            ]
-            batch_track = tracer.track(self.scope, "batches")
-        else:
-            device_tracks = []
-            batch_track = 0
+        device_tracks = (
+            [tracer.track(self.scope, f"gpu{d}") for d in range(cfg.n_gpus)]
+            if tracer.enabled
+            else [0] * cfg.n_gpus
+        )
+        batch_track = tracer.track(self.scope, "batches") if tracer.enabled else 0
         # The bus is the single ingestion point: the ledger (and, when
         # tracing, the span tracer) consume the same event stream.
         bus = RunBus(metrics, tracer, device_tracks)
         specs = cfg.devices or tuple(cfg.device for _ in range(cfg.n_gpus))
         if cfg.scheduler_kind == "client-server":
             sched: SharedMemoryScheduler = ClientServerScheduler(
-                cfg.n_gpus, cfg.max_queue_length, cfg.rpc_latency_s, bus
+                cfg.n_gpus, cfg.max_queue_length, cfg.rpc_latency_s, bus,
+                tie_break=cfg.tie_break,
             )
-            sched.tie_break = cfg.tie_break
         elif cfg.scheduler_kind == "random":
             sched = RandomScheduler(cfg.n_gpus, cfg.max_queue_length, bus)
         elif cfg.scheduler_kind == "weighted":
@@ -295,31 +290,20 @@ class HybridRunner:
             )
         elif cfg.scheduler_kind == "predictive":
             sched = PredictiveScheduler(
-                cfg.n_gpus,
-                cfg.max_queue_length,
-                bus,
-                cpu_threshold_s=cfg.cpu_threshold_s,
-                tie_break=cfg.tie_break,
+                cfg.n_gpus, cfg.max_queue_length, bus, tie_break=cfg.tie_break
             )
         else:
             sched = SharedMemoryScheduler(
                 cfg.n_gpus, cfg.max_queue_length, bus, tie_break=cfg.tie_break
             )
-        if tracer.enabled:
-            gpus = [
-                SimulatedGPU(
-                    clock, specs[d], index=d, tracer=tracer, track=device_tracks[d]
-                )
-                for d in range(cfg.n_gpus)
-            ]
-        else:
-            # Positional-only construction so test doubles that replace
-            # SimulatedGPU.__init__ with the narrower historical signature
-            # keep working when tracing is off.
-            gpus = [SimulatedGPU(clock, specs[d], index=d) for d in range(cfg.n_gpus)]
+        gpus = [
+            SimulatedGPU(
+                clock, specs[d], index=d, tracer=tracer, track=device_tracks[d]
+            )
+            for d in range(cfg.n_gpus)
+        ]
         spectra: dict[int, np.ndarray] = {}
 
-        dispatch = None
         if cfg.scheduler_kind == "predictive":
             if self.span_cost_model is None:
                 from repro.obs.attribution import CostModel as SpanCostModel
@@ -327,40 +311,29 @@ class HybridRunner:
                 self.span_cost_model = SpanCostModel.seeded_from_counters(
                     cfg.device
                 )
-            dispatch = _PredictiveDispatch(
-                clock, sched, gpus, bus, self.span_cost_model,
-                steal=cfg.steal,
+            route = _PredictiveDispatch(
+                clock, sched, gpus, bus, self.span_cost_model
             )
             for d in range(cfg.n_gpus):
                 for slot in range(specs[d].max_concurrent_kernels):
                     clock.spawn(
-                        dispatch.device_worker(d),
+                        route.device_worker(d),
                         name=f"{name}.gpu{d}.disp{slot}",
                     )
+        else:
+            route = _DirectSubmit(clock, sched, gpus, bus)
 
-        per_worker = self._partition(tasks)
-        stagger = self._stagger()
         handles = []
-        for rank, my_tasks in enumerate(per_worker):
+        for rank, my_tasks in enumerate(self._partition(tasks)):
             rank_track = (
                 tracer.track(self.scope, f"rank{rank}") if tracer.enabled else 0
             )
-            if dispatch is not None:
-                gen = self._worker_predictive(
-                    rank, my_tasks, clock, sched, dispatch, bus, spectra,
-                    stagger, rank_track,
-                )
-            elif cfg.async_depth > 0:
-                gen = self._worker_async(
-                    rank, my_tasks, clock, sched, gpus, bus, spectra, stagger,
-                    rank_track,
-                )
-            else:
-                gen = self._worker_sync(
-                    rank, my_tasks, clock, sched, gpus, bus, spectra, stagger,
-                    rank_track,
-                )
-            handles.append(clock.spawn(gen, name=f"rank{rank}"))
+            handles.append(clock.spawn(
+                self._worker(
+                    rank, my_tasks, clock, sched, route, bus, spectra, rank_track
+                ),
+                name=f"rank{rank}",
+            ))
 
         # Continuous telemetry: scrape the ledger's live state at the
         # batch boundaries and on a cadence process in between.  Pure
@@ -383,8 +356,7 @@ class HybridRunner:
         for handle in handles:
             yield handle
         batch_done[0] = True
-        if dispatch is not None:
-            dispatch.close()
+        route.close()
         makespan = clock.now - start
         metrics.finalize(clock.now)
         if self.tsdb.enabled:
@@ -422,17 +394,68 @@ class HybridRunner:
     # ------------------------------------------------------------------
     # Worker processes
     # ------------------------------------------------------------------
-    def _worker_sync(
-        self, rank, my_tasks, clock, sched, gpus, bus, spectra, stagger,
-        rank_track=0,
+    def _worker(
+        self, rank, my_tasks, clock, sched, route, bus, spectra, rank_track=0
     ) -> Generator:
+        """One rank of Fig. 2: per task, prep, SCHE-ALLOC, a GPU or CPU run.
+
+        ``route`` prices the admission and carries an admitted task to a
+        GPU; ``async_depth`` sets the in-flight window.  At depth 0 the
+        rank blocks on each GPU task, so its spectra accumulate in its
+        own task order whichever device ends up running a task.  At
+        depth n the rank keeps up to n GPU tasks in flight and settles
+        each from a completion callback, so a queue slot frees the
+        instant its task finishes rather than when the rank next wakes.
+        """
         cfg = self.config
         cost = cfg.cost
         tracer = self.tracer
-        yield rank * stagger
+        # Completion signals of in-flight GPU tasks, oldest first.
+        window: deque = deque()
+
+        def settle(entry: _PendingTask, payload, started: float) -> None:
+            """Book one finished GPU task: its result, span and event."""
+            task = entry.task
+            self._accumulate(spectra, task, payload)
+            if tracer.enabled:
+                if entry.wait_s > 0.0:
+                    tracer.span(
+                        rank_track, "queue-wait", entry.enqueued_at,
+                        entry.exec_started, cat="wait",
+                        args={"device": entry.executed_device},
+                        parent=entry.span_id,
+                    )
+                args = {"placement": "gpu", "device": entry.executed_device}
+                if entry.cost_s is not None:
+                    args["stolen"] = entry.executed_device != entry.device
+                    args["predicted_s"] = entry.cost_s
+                args["wait_s"] = entry.wait_s
+                args["service_s"] = entry.service_s
+                tracer.complete(
+                    rank_track,
+                    task.label or f"task{task.task_id}",
+                    started,
+                    cat="task",
+                    args=args,
+                    id=entry.span_id,
+                    parent=task.trace_parent or None,
+                )
+            if cfg.record_trace:
+                bus.on_task_event(TaskEvent(
+                    rank=rank, task_id=task.task_id, placement="gpu",
+                    device=entry.executed_device, start=entry.exec_started,
+                    end=clock.now, enqueue=entry.enqueued_at,
+                ))
+
+        def on_done(payload, entry: _PendingTask, started: float) -> None:
+            route.measure(entry)
+            route.release(entry)
+            settle(entry, payload, started)
+
+        yield rank * cfg.stagger_s
         point_share = self._point_share(my_tasks)
         for task in my_tasks:
-            task_started = clock.now
+            started = clock.now
             # One span id per task: the gpusim sub-spans parent under it,
             # and it parents under whatever compiled the task (megabatch
             # group span or request root) via task.trace_parent.
@@ -442,286 +465,71 @@ class HybridRunner:
             # tasks rather than paid as a serial prelude that would starve
             # the GPUs at startup.
             yield cost.prep_s(task.n_levels) + point_share[task.point_index]
+            while window and len(window) >= cfg.async_depth:
+                yield window.popleft()
             if sched.rpc_latency_s:
                 yield sched.rpc_latency_s
+            price = route.price(task)
             if tracer.enabled:
-                loads = sched.loads()
-                histories = sched.histories()
-            device = sched.sche_alloc(clock.now)
+                decision = {"loads": sched.loads(), "histories": sched.histories()}
+                if price is not None:
+                    decision["backlogs_s"] = sched.backlogs_s()
+                    decision["predicted_s"] = price
+            if price is None:
+                device = sched.sche_alloc(clock.now)
+            else:
+                device = sched.sche_alloc(clock.now, cost_s=price)
             if tracer.enabled:
                 tracer.instant(
                     rank_track,
                     "sche_alloc",
                     cat="sched",
-                    args={
-                        "chosen": device,
-                        "loads": loads,
-                        "histories": histories,
-                        "task_id": task.task_id,
-                    },
+                    args={"chosen": device, **decision, "task_id": task.task_id},
                 )
             if device != NO_DEVICE:
                 yield cost.submit_overhead_s
-                submitted_at = clock.now
-                try:
-                    done = gpus[device].submit(task.kernel, parent=span_id)
-                except RuntimeError:
-                    # The device died between admission and submission:
-                    # release the slot, revoke the phantom admission, and
-                    # degrade to the CPU path (the operational behaviour a
-                    # real node needs — the task must not vanish and the
-                    # queue must not leak).
-                    sched.sche_free(device, clock.now)
-                    bus.on_admission_revoked(device)
-                    device = NO_DEVICE
-                if device != NO_DEVICE:
-                    payload = yield done
-                    service = gpus[device].spec.service_time(task.kernel)
-                    wait_s = max(0.0, clock.now - submitted_at - service)
-                    bus.on_task_timing(wait_s=wait_s, service_s=service)
+                entry = route.submit(device, task, price, span_id)
+                if not entry.failed:
+                    if cfg.async_depth:
+                        entry.done.add_callback(
+                            clock, partial(on_done, entry=entry, started=started)
+                        )
+                        window.append(entry.done)
+                        continue
+                    payload = yield entry.done
+                if not entry.failed:
+                    route.measure(entry)
                     if sched.rpc_latency_s:
                         yield sched.rpc_latency_s
-                    sched.sche_free(device, clock.now)
-                    self._accumulate(spectra, task, payload)
-                    if tracer.enabled:
-                        if wait_s > 0.0:
-                            tracer.span(
-                                rank_track, "queue-wait", submitted_at,
-                                submitted_at + wait_s, cat="wait",
-                                args={"device": device},
-                                parent=span_id,
-                            )
-                        tracer.complete(
-                            rank_track,
-                            task.label or f"task{task.task_id}",
-                            task_started,
-                            cat="task",
-                            args={
-                                "placement": "gpu",
-                                "device": device,
-                                "wait_s": wait_s,
-                                "service_s": service,
-                            },
-                            id=span_id,
-                            parent=task.trace_parent or None,
-                        )
-                    if cfg.record_trace:
-                        bus.on_task_event(TaskEvent(
-                            rank=rank, task_id=task.task_id, placement="gpu",
-                            device=device, start=submitted_at + wait_s,
-                            end=clock.now, enqueue=submitted_at,
-                        ))
-            if device == NO_DEVICE:
-                bus.on_cpu_task()
-                cpu_started = clock.now
-                yield cost.cpu_task_fallback_s(task.n_integrals, task.cpu_evals_per_integral)
-                self._accumulate(spectra, task, task.run_cpu())
-                if tracer.enabled:
-                    tracer.complete(
-                        rank_track,
-                        task.label or f"task{task.task_id}",
-                        task_started,
-                        cat="task",
-                        args={"placement": "cpu", "device": -1, "wait_s": 0.0},
-                        id=span_id,
-                        parent=task.trace_parent or None,
-                    )
-                if cfg.record_trace:
-                    bus.on_task_event(TaskEvent(
-                        rank=rank, task_id=task.task_id, placement="cpu",
-                        device=-1, start=cpu_started, end=clock.now,
-                        enqueue=cpu_started,
-                    ))
-
-    def _worker_async(
-        self, rank, my_tasks, clock, sched, gpus, bus, spectra, stagger,
-        rank_track=0,
-    ) -> Generator:
-        """Bounded-depth asynchronous submission (the future-work mode).
-
-        The rank keeps up to ``async_depth`` GPU tasks in flight; queue
-        slots are freed by completion callbacks rather than by the
-        blocked rank, so the GPU never waits on host wakeups.
-        """
-        cfg = self.config
-        cost = cfg.cost
-        tracer = self.tracer
-        yield rank * stagger
-        # Completion signals, oldest first; popleft() keeps the drain O(1)
-        # per task where a list.pop(0) would shift the whole window.
-        in_flight: deque = deque()
-        point_share = self._point_share(my_tasks)
-
-        for task in my_tasks:
-            span_id = tracer.new_id() if tracer.enabled else 0
-            yield cost.prep_s(task.n_levels) + point_share[task.point_index]
-            while len(in_flight) >= cfg.async_depth:
-                oldest = in_flight.popleft()
-                yield oldest
-            if sched.rpc_latency_s:
-                yield sched.rpc_latency_s
+                    route.release(entry)
+                    settle(entry, payload, started)
+                    continue
+                # The device died after admission: the route released the
+                # slot; revoke the phantom admission and degrade to the
+                # CPU path (the task must not vanish, the queue not leak).
+                bus.on_admission_revoked(entry.executed_device)
+            bus.on_cpu_task()
+            cpu_started = clock.now
+            yield cost.cpu_task_fallback_s(task.n_integrals, task.cpu_evals_per_integral)
+            self._accumulate(spectra, task, task.run_cpu())
             if tracer.enabled:
-                loads = sched.loads()
-                histories = sched.histories()
-            device = sched.sche_alloc(clock.now)
-            if tracer.enabled:
-                tracer.instant(
+                tracer.complete(
                     rank_track,
-                    "sche_alloc",
-                    cat="sched",
-                    args={
-                        "chosen": device,
-                        "loads": loads,
-                        "histories": histories,
-                        "task_id": task.task_id,
-                    },
+                    task.label or f"task{task.task_id}",
+                    started,
+                    cat="task",
+                    args={"placement": "cpu", "device": -1, "wait_s": 0.0},
+                    id=span_id,
+                    parent=task.trace_parent or None,
                 )
-            if device != NO_DEVICE:
-                yield cost.submit_overhead_s
-                submitted_at = clock.now
-                done = gpus[device].submit(task.kernel, parent=span_id)
-
-                def on_done(payload, d=device, t=task, t0=submitted_at, sid=span_id):
-                    sched.sche_free(d, clock.now)
-                    self._accumulate(spectra, t, payload)
-                    if tracer.enabled:
-                        tracer.complete(
-                            rank_track,
-                            t.label or f"task{t.task_id}",
-                            t0,
-                            cat="task",
-                            args={"placement": "gpu", "device": d},
-                            id=sid,
-                            parent=t.trace_parent or None,
-                        )
-
-                done.add_callback(clock, on_done)
-                in_flight.append(done)
-            else:
-                bus.on_cpu_task()
-                cpu_started = clock.now
-                yield cost.cpu_task_fallback_s(task.n_integrals, task.cpu_evals_per_integral)
-                self._accumulate(spectra, task, task.run_cpu())
-                if tracer.enabled:
-                    tracer.complete(
-                        rank_track,
-                        task.label or f"task{task.task_id}",
-                        cpu_started,
-                        cat="task",
-                        args={"placement": "cpu", "device": -1},
-                        id=span_id,
-                        parent=task.trace_parent or None,
-                    )
-        for sig in in_flight:
+            if cfg.record_trace:
+                bus.on_task_event(TaskEvent(
+                    rank=rank, task_id=task.task_id, placement="cpu",
+                    device=-1, start=cpu_started, end=clock.now,
+                    enqueue=cpu_started,
+                ))
+        for sig in window:
             yield sig
-
-    def _worker_predictive(
-        self, rank, my_tasks, clock, sched, dispatch, bus, spectra, stagger,
-        rank_track=0,
-    ) -> Generator:
-        """Rank loop for the predictive dispatch path.
-
-        Mirrors :meth:`_worker_sync`, but admitted tasks are priced by
-        the online cost model, placed by predicted finish time, and
-        handed to the per-device dispatch queues (where work stealing
-        may relocate them).  The rank still blocks on each task's
-        completion signal, so accumulation order — and with it every
-        spectrum bit — is the rank's own task order regardless of which
-        device ends up executing each task.
-        """
-        cfg = self.config
-        cost = cfg.cost
-        tracer = self.tracer
-        model = dispatch.model
-        yield rank * stagger
-        point_share = self._point_share(my_tasks)
-        for task in my_tasks:
-            task_started = clock.now
-            span_id = tracer.new_id() if tracer.enabled else 0
-            yield cost.prep_s(task.n_levels) + point_share[task.point_index]
-            ion, method, evals = _task_cost_key(task)
-            predicted = model.predict(ion, method, evals)
-            if tracer.enabled:
-                loads = sched.loads()
-                histories = sched.histories()
-                backlogs = sched.backlogs_s()
-            device = sched.sche_alloc(clock.now, cost_s=predicted)
-            if tracer.enabled:
-                tracer.instant(
-                    rank_track,
-                    "sche_alloc",
-                    cat="sched",
-                    args={
-                        "chosen": device,
-                        "loads": loads,
-                        "histories": histories,
-                        "backlogs_s": backlogs,
-                        "predicted_s": predicted,
-                        "task_id": task.task_id,
-                    },
-                )
-            if device != NO_DEVICE:
-                yield cost.submit_overhead_s
-                entry = dispatch.enqueue(device, task, predicted, span_id)
-                payload = yield entry.done
-                if entry.failed:
-                    bus.on_admission_revoked(entry.executed_device)
-                    device = NO_DEVICE
-                else:
-                    self._accumulate(spectra, task, payload)
-                    wait_s = entry.exec_started - entry.enqueued_at
-                    if tracer.enabled:
-                        if wait_s > 0.0:
-                            tracer.span(
-                                rank_track, "queue-wait", entry.enqueued_at,
-                                entry.exec_started, cat="wait",
-                                args={"device": entry.executed_device},
-                                parent=span_id,
-                            )
-                        tracer.complete(
-                            rank_track,
-                            task.label or f"task{task.task_id}",
-                            task_started,
-                            cat="task",
-                            args={
-                                "placement": "gpu",
-                                "device": entry.executed_device,
-                                "stolen": entry.executed_device != device,
-                                "predicted_s": predicted,
-                                "wait_s": wait_s,
-                                "service_s": entry.service_s,
-                            },
-                            id=span_id,
-                            parent=task.trace_parent or None,
-                        )
-                    if cfg.record_trace:
-                        bus.on_task_event(TaskEvent(
-                            rank=rank, task_id=task.task_id, placement="gpu",
-                            device=entry.executed_device,
-                            start=entry.exec_started, end=clock.now,
-                            enqueue=entry.enqueued_at,
-                        ))
-            if device == NO_DEVICE:
-                bus.on_cpu_task()
-                cpu_started = clock.now
-                yield cost.cpu_task_fallback_s(task.n_integrals, task.cpu_evals_per_integral)
-                self._accumulate(spectra, task, task.run_cpu())
-                if tracer.enabled:
-                    tracer.complete(
-                        rank_track,
-                        task.label or f"task{task.task_id}",
-                        task_started,
-                        cat="task",
-                        args={"placement": "cpu", "device": -1, "wait_s": 0.0},
-                        id=span_id,
-                        parent=task.trace_parent or None,
-                    )
-                if cfg.record_trace:
-                    bus.on_task_event(TaskEvent(
-                        rank=rank, task_id=task.task_id, placement="cpu",
-                        device=-1, start=cpu_started, end=clock.now,
-                        enqueue=cpu_started,
-                    ))
 
     # ------------------------------------------------------------------
     # Helpers
@@ -776,12 +584,6 @@ class HybridRunner:
         overhead = self.config.cost.point_overhead_s
         return {p: overhead / c for p, c in counts.items()}
 
-    def _stagger(self) -> float:
-        if self.config.stagger_s is not None:
-            return self.config.stagger_s
-        # Fallback: spread rank starts across roughly one prep period.
-        return self.config.cost.prep_s(1) / max(1, self.config.n_workers)
-
     @staticmethod
     def _accumulate(spectra: dict, task: Task, payload: object) -> None:
         if payload is None:
@@ -795,7 +597,7 @@ class HybridRunner:
 
 
 # ----------------------------------------------------------------------
-# Predictive dispatch (measured-cost placement + work stealing)
+# Submission routes: direct submit, predictive dispatch + work stealing
 # ----------------------------------------------------------------------
 def _task_cost_key(task: Task) -> tuple[str, str, int]:
     """(ion, method, evals) — one task's cost-model axes."""
@@ -804,71 +606,124 @@ def _task_cost_key(task: Task) -> tuple[str, str, int]:
 
 
 class _PendingTask:
-    """One admitted task parked in a device's dispatch queue."""
+    """One admitted GPU task, from submission to completion."""
 
     __slots__ = (
-        "task", "ion", "method", "evals", "cost_s", "span_id",
-        "enqueued_at", "done", "executed_device", "exec_started",
-        "service_s", "failed",
+        "task", "cost_s", "span_id", "device", "enqueued_at", "done",
+        "executed_device", "exec_started", "wait_s", "service_s", "failed",
     )
 
-    def __init__(self, task, ion, method, evals, cost_s, span_id, now, done):
+    def __init__(self, task, cost_s, span_id, device, now, done=None):
         self.task = task
-        self.ion = ion
-        self.method = method
-        self.evals = evals
-        #: Predicted cost at admission time — the exact value added to
-        #: the segment backlog, carried so free/steal remove it exactly.
+        #: Predicted cost at admission time (``None`` when admission is
+        #: priced in slots) — the exact value added to the segment
+        #: backlog, carried so free/steal remove it exactly.
         self.cost_s = cost_s
         self.span_id = span_id
+        #: The device SCHE-ALLOC admitted the task to.
+        self.device = device
         self.enqueued_at = now
         self.done = done
-        # Set by the executing dispatch worker:
+        # Set once the task runs (by the route, or the device that ran it):
         self.executed_device = -1
         self.exec_started = 0.0
+        self.wait_s = 0.0
         self.service_s = 0.0
         self.failed = False
+
+
+class _DirectSubmit:
+    """The depth schedulers' route: submit straight to the admitted GPU.
+
+    Admission costs one slot (``price`` is ``None``).  The rank, or its
+    completion callback, measures each task and releases its slot when
+    the GPU's own completion signal fires — no queue hop in between.
+    """
+
+    def __init__(self, clock, sched, gpus, bus):
+        self.clock = clock
+        self.sched = sched
+        self.gpus = gpus
+        self.bus = bus
+
+    def price(self, task: Task) -> None:
+        return None
+
+    def submit(self, device, task, cost_s, span_id) -> _PendingTask:
+        entry = _PendingTask(task, cost_s, span_id, device, self.clock.now)
+        entry.executed_device = device
+        try:
+            entry.done = self.gpus[device].submit(task.kernel, parent=span_id)
+        except RuntimeError:
+            # The device died between admission and submission.
+            self.sched.sche_free(device, self.clock.now)
+            entry.failed = True
+        return entry
+
+    def measure(self, entry: _PendingTask) -> None:
+        """Book the finished task's queue wait and modelled service time."""
+        service = self.gpus[entry.device].spec.service_time(entry.task.kernel)
+        entry.service_s = service
+        entry.wait_s = max(0.0, self.clock.now - entry.enqueued_at - service)
+        entry.exec_started = entry.enqueued_at + entry.wait_s
+        self.bus.on_task_timing(wait_s=entry.wait_s, service_s=service)
+
+    def release(self, entry: _PendingTask) -> None:
+        self.sched.sche_free(entry.device, self.clock.now)
+
+    def close(self) -> None:
+        pass
 
 
 class _PredictiveDispatch:
     """Per-device dispatch queues with work stealing.
 
+    Admission is priced in predicted seconds from the online cost model.
     Rank workers enqueue admitted tasks here instead of submitting to
     the device directly; one dispatch worker per device kernel slot
     drains its own queue head-first (FIFO — admission order, matching
-    the direct-submit modes), and, when stealing is on, an idle device
-    pulls from the *tail* of the pending queue with the largest summed
-    predicted backlog (ties to the lowest index).  The steal rebalances
-    slot + predicted ticks on the shared segment through
-    :meth:`PredictiveScheduler.on_steal`, so conservation is validated
-    at end of run exactly as for unstolen tasks.
+    the direct-submit route), and an idle device pulls from the *tail*
+    of the pending queue with the largest summed predicted backlog (ties
+    to the lowest index).  The steal rebalances slot + predicted ticks
+    on the shared segment through :meth:`PredictiveScheduler.on_steal`,
+    so conservation is validated at end of run exactly as for unstolen
+    tasks.  The dispatch worker, not the rank, measures each task and
+    releases its slot.
 
     Relocating a task never changes its result — placement prices
     answers, it does not compute them — and each rank still blocks per
-    task, so spectra are bit-identical with stealing on or off.
+    task, so spectra are bit-identical to the depth schedulers'.
     """
 
-    def __init__(self, clock, sched, gpus, bus, model, steal=True):
+    def __init__(self, clock, sched, gpus, bus, model):
         self.clock = clock
         self.sched = sched
         self.gpus = gpus
         self.bus = bus
         self.model = model
-        self.steal = steal
         self.pending: list[deque] = [deque() for _ in gpus]
         self._idle: list = []
         self.closed = False
 
-    def enqueue(self, device, task, cost_s, span_id) -> _PendingTask:
+    def price(self, task: Task) -> float:
+        """Predicted device seconds of ``task``."""
+        return self.model.predict(*_task_cost_key(task))
+
+    def submit(self, device, task, cost_s, span_id) -> _PendingTask:
         """Park one admitted task on ``device``'s queue; wake idle workers."""
-        ion, method, evals = _task_cost_key(task)
         entry = _PendingTask(
-            task, ion, method, evals, cost_s, span_id,
-            self.clock.now, self.clock.signal(f"task{task.task_id}.done"),
+            task, cost_s, span_id, device, self.clock.now,
+            self.clock.signal(f"task{task.task_id}.done"),
         )
         self.pending[device].append(entry)
         self._wake_all(prefer=device)
         return entry
+
+    def measure(self, entry: _PendingTask) -> None:
+        """Already booked by the dispatch worker that ran the task."""
+
+    def release(self, entry: _PendingTask) -> None:
+        """Already released by the dispatch worker that ran the task."""
 
     def close(self) -> None:
         """All ranks joined: let idle dispatch workers exit."""
@@ -915,8 +770,7 @@ class _PredictiveDispatch:
             if self.pending[device]:
                 entry = self.pending[device].popleft()
             elif (
-                self.steal
-                and not gpu.failed
+                not gpu.failed
                 and sched.queues[device].load < sched.max_queue_length
             ):
                 entry = self._steal_from(device)
@@ -944,11 +798,9 @@ class _PredictiveDispatch:
             measured = clock.now - entry.exec_started
             entry.executed_device = device
             entry.service_s = measured
-            self.model.observe(entry.ion, entry.method, entry.evals, measured)
+            entry.wait_s = entry.exec_started - entry.enqueued_at
+            self.model.observe(*_task_cost_key(entry.task), measured)
             self.bus.on_prediction(entry.cost_s, measured)
-            self.bus.on_task_timing(
-                wait_s=entry.exec_started - entry.enqueued_at,
-                service_s=measured,
-            )
+            self.bus.on_task_timing(wait_s=entry.wait_s, service_s=measured)
             sched.sche_free(device, clock.now, cost_s=entry.cost_s)
             entry.done.fire(clock, payload)

@@ -128,7 +128,7 @@ class MPIProgram:
         my_tasks: list[Task] = yield from comm.scatter(chunks, root=0, rank=rank)
 
         # --- startup skew, then the per-task loop of Fig. 2.
-        yield rank * (cfg.stagger_s or 0.0)
+        yield rank * cfg.stagger_s
         gpu_done = 0
         cpu_done = 0
         spectra: dict[int, np.ndarray] = {}

@@ -94,11 +94,19 @@ class SharedMemoryScheduler:
                 best, l_min, h_min = d, l_d, h_d
         if l_min >= self.max_queue_length:
             return NO_DEVICE
-        old_load = self.queues[best].load
-        self.queues[best].occupy()
+        return self._occupy(best, now)
+
+    def _occupy(self, device: int, now: float, ticks: int = 0) -> int:
+        """Admit one task to ``device`` atomically; returns ``device``.
+
+        Takes one slot (plus ``ticks`` of predicted backlog) and books the
+        load change.
+        """
+        old_load = self.queues[device].load
+        self.queues[device].occupy(ticks)
         if self.metrics is not None:
-            self.metrics.on_load_change(best, old_load, old_load + 1, now)
-        return best
+            self.metrics.on_load_change(device, old_load, old_load + 1, now)
+        return device
 
     def sche_free(self, device: int, now: float = 0.0) -> None:
         """Algorithm 1 SCHE-FREE: release the slot after completion."""
@@ -136,8 +144,9 @@ class ClientServerScheduler(SharedMemoryScheduler):
         rpc_latency_s: float = 5.0e-4,
         metrics: Optional[MetricsLedger] = None,
         segment: Optional[SharedSegment] = None,
+        tie_break: str = "history",
     ) -> None:
-        super().__init__(n_devices, max_queue_length, metrics, segment)
+        super().__init__(n_devices, max_queue_length, metrics, segment, tie_break)
         if rpc_latency_s < 0.0:
             raise ValueError("RPC latency must be non-negative")
         self.rpc_latency_s = rpc_latency_s
@@ -176,11 +185,7 @@ class RandomScheduler(SharedMemoryScheduler):
         if not admissible:
             return NO_DEVICE
         best = int(self._rng.choice(admissible))
-        old_load = self.queues[best].load
-        self.queues[best].occupy()
-        if self.metrics is not None:
-            self.metrics.on_load_change(best, old_load, old_load + 1, now)
-        return best
+        return self._occupy(best, now)
 
 
 class WeightedScheduler(SharedMemoryScheduler):
@@ -237,11 +242,7 @@ class WeightedScheduler(SharedMemoryScheduler):
                 best, best_backlog, best_history = d, backlog, h_d
         if best < 0:
             return NO_DEVICE
-        old_load = self.queues[best].load
-        self.queues[best].occupy()
-        if self.metrics is not None:
-            self.metrics.on_load_change(best, old_load, old_load + 1, now)
-        return best
+        return self._occupy(best, now)
 
 
 class PredictiveScheduler(SharedMemoryScheduler):
@@ -257,36 +258,14 @@ class PredictiveScheduler(SharedMemoryScheduler):
     ``sche_free``.  SCHE-ALLOC places the task on the device whose
     backlog-plus-new-cost is smallest, history tie-break unchanged — so
     with equal costs it reduces exactly to Algorithm 1 (backlog is then
-    load x cost).
-
-    The CPU fallback turns from a queue-*depth* rule into a predicted-
-    *seconds* rule: ``cpu_threshold_s`` rejects a placement whose
-    predicted finish time would exceed the threshold, which is the
-    quantity the paper's max-queue-length bound was approximating under
-    the equal-size-task assumption.  The slot bound stays as a hard cap
-    (the shared arrays are still bounded).
+    load x cost).  As in Algorithm 1, a task falls back to the
+    rank's CPU only when every queue is at the slot cap.
 
     ``on_steal`` is the work-stealing transfer: an idle device pulls one
     admitted task from a loaded victim, moving its slot and predicted
     backlog atomically on the segment (conservation is validated at end
     of run — no slot or tick is lost or duplicated).
     """
-
-    def __init__(
-        self,
-        n_devices: int,
-        max_queue_length: int,
-        metrics: Optional[MetricsLedger] = None,
-        segment: Optional[SharedSegment] = None,
-        cpu_threshold_s: Optional[float] = None,
-        tie_break: str = "history",
-    ) -> None:
-        super().__init__(
-            n_devices, max_queue_length, metrics, segment, tie_break
-        )
-        if cpu_threshold_s is not None and cpu_threshold_s <= 0.0:
-            raise ValueError("cpu_threshold_s must be positive or None")
-        self.cpu_threshold_s = cpu_threshold_s
 
     @staticmethod
     def cost_ticks(cost_s: float) -> int:
@@ -302,8 +281,7 @@ class PredictiveScheduler(SharedMemoryScheduler):
         this task's cost), history tie-break among exact tick ties; the
         new cost is added to the winner's backlog in the same atomic
         admission step.  Returns ``NO_DEVICE`` when every queue is at
-        the slot cap or the best predicted finish time crosses
-        ``cpu_threshold_s``.
+        the slot cap.
         """
         if self.n_devices == 0:
             return NO_DEVICE
@@ -327,16 +305,7 @@ class PredictiveScheduler(SharedMemoryScheduler):
                 best, best_finish, best_history = d, finish, h_d
         if best < 0:
             return NO_DEVICE
-        if (
-            self.cpu_threshold_s is not None
-            and best_finish > self.cost_ticks(self.cpu_threshold_s)
-        ):
-            return NO_DEVICE
-        old_load = self.queues[best].load
-        self.queues[best].occupy(ticks)
-        if self.metrics is not None:
-            self.metrics.on_load_change(best, old_load, old_load + 1, now)
-        return best
+        return self._occupy(best, now, ticks)
 
     def sche_free(self, device: int, now: float = 0.0, cost_s: float = 0.0) -> None:
         """Release one slot, removing the cost admitted for the task.

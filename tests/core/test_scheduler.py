@@ -214,18 +214,6 @@ class TestPredictiveScheduler:
         assert s.loads() == [0, 0]
         s.validate()
 
-    def test_cpu_threshold_in_predicted_seconds(self):
-        from repro.core.scheduler import NO_DEVICE
-
-        s = self._make(n=2, cpu_threshold_s=5.0)
-        assert s.sche_alloc(cost_s=3.0) == 0
-        assert s.sche_alloc(cost_s=3.0) == 1
-        # Best finish would be 6 s > 5 s threshold -> CPU fallback even
-        # though both queues have free slots.
-        assert s.sche_alloc(cost_s=3.0) == NO_DEVICE
-        # A cheap task still fits under the threshold.
-        assert s.sche_alloc(cost_s=1.0) == 0
-
     def test_slot_cap_still_hard(self):
         from repro.core.scheduler import NO_DEVICE
 
@@ -288,10 +276,6 @@ class TestPredictiveScheduler:
         s = self._make()
         with pytest.raises(ValueError):
             s.sche_alloc(cost_s=-1.0)
-
-    def test_invalid_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            self._make(cpu_threshold_s=0.0)
 
     def test_zero_devices_always_cpu(self):
         from repro.core.scheduler import NO_DEVICE

@@ -121,22 +121,29 @@ class TestEndToEndDeviceFailure:
             WorkloadSpec(n_points=1, bins_per_level=2_000, db_config=AtomicConfig.tiny())
         )
 
-    def test_failure_before_any_submit_degrades_to_cpu(self, monkeypatch):
+    @pytest.mark.parametrize("async_depth", [0, 4])
+    def test_failure_before_any_submit_degrades_to_cpu(
+        self, monkeypatch, async_depth
+    ):
         """A device dead from t=0 refuses every submit; workers must fall
-        back to CPU and the run must complete with nothing lost."""
+        back to CPU and the run must complete with nothing lost, whether
+        ranks block on each task or keep several in flight."""
         import repro.gpusim.device as dmod
         from repro.core.hybrid import HybridConfig, HybridRunner
 
         original_init = dmod.SimulatedGPU.__init__
 
-        def dead_on_arrival(self, clock, spec, index=0):
-            original_init(self, clock, spec, index)
+        def dead_on_arrival(self, clock, spec, index=0, **kwargs):
+            original_init(self, clock, spec, index, **kwargs)
             self.fail()
 
         monkeypatch.setattr(dmod.SimulatedGPU, "__init__", dead_on_arrival)
         tasks = self._tasks()
         result = HybridRunner(
-            HybridConfig(n_workers=2, n_gpus=1, max_queue_length=2)
+            HybridConfig(
+                n_workers=2, n_gpus=1, max_queue_length=2,
+                async_depth=async_depth,
+            )
         ).run(tasks)
         assert result.metrics.cpu_tasks == len(tasks)
         assert result.metrics.gpu_task_ratio() == 0.0
@@ -161,8 +168,8 @@ class TestEndToEndDeviceFailure:
         )[:4]
         original_init = dmod.SimulatedGPU.__init__
 
-        def dies_mid_service(self, clock, spec, index=0):
-            original_init(self, clock, spec, index)
+        def dies_mid_service(self, clock, spec, index=0, **kwargs):
+            original_init(self, clock, spec, index, **kwargs)
             clock.at(0.3, self.fail)
 
         monkeypatch.setattr(dmod.SimulatedGPU, "__init__", dies_mid_service)
