@@ -450,6 +450,31 @@ def _emit_profile(args: argparse.Namespace, tracer) -> None:
         )
 
 
+def _emit_service_outputs(args: argparse.Namespace, broker, tracer) -> None:
+    """Honour the trace, metrics, Gantt, profile and cost-report flags.
+
+    Shared by ``serve`` and ``submit`` once their broker has finished.
+    """
+    if args.trace:
+        from repro.obs import write_chrome_trace
+
+        write_chrome_trace(args.trace, tracer)
+        print(f"wrote Chrome trace to {args.trace}", file=sys.stderr)
+    if args.metrics:
+        from repro.obs import service_registry
+
+        with open(args.metrics, "w") as fh:
+            fh.write(service_registry(broker).render())
+        print(f"wrote Prometheus metrics to {args.metrics}", file=sys.stderr)
+    if getattr(args, "gantt", False):
+        from repro.obs import render_gantt, render_summary
+
+        print(render_gantt(tracer))
+        print(render_summary(tracer))
+    _emit_profile(args, tracer)
+    _emit_cost_report(args, broker=broker)
+
+
 def _cmd_quickstart(args: argparse.Namespace) -> int:
     tasks = build_tasks(WorkloadSpec())
     runner = HybridRunner(
@@ -1021,24 +1046,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.postmortem and broker.flight is not None and broker.flight.bundles:
         for bundle in broker.flight.bundles:
             print(f"wrote postmortem bundle {bundle}", file=sys.stderr)
-    if args.trace:
-        from repro.obs import write_chrome_trace
-
-        write_chrome_trace(args.trace, tracer)
-        print(f"wrote Chrome trace to {args.trace}", file=sys.stderr)
-    if args.metrics:
-        from repro.obs import service_registry
-
-        with open(args.metrics, "w") as fh:
-            fh.write(service_registry(broker).render())
-        print(f"wrote Prometheus metrics to {args.metrics}", file=sys.stderr)
-    if args.gantt:
-        from repro.obs import render_gantt, render_summary
-
-        print(render_gantt(tracer))
-        print(render_summary(tracer))
-    _emit_profile(args, tracer)
-    _emit_cost_report(args, broker=broker)
+    _emit_service_outputs(args, broker, tracer)
     _emit_tsdb(
         args,
         tsdb,
@@ -1189,26 +1197,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 "total_flux": float(ticket.result.sum()),
             }
         )
-    broker.bus.finalize(clock.now)
+    broker.finish()
     _save_cost_model(args, broker.cost_model)
-    if tsdb is not None:
-        tsdb.scrape(broker.registry(), clock.now)  # closing boundary scrape
-        if anomaly is not None:
-            for event in anomaly.scan(tsdb):
-                broker.bus.on_anomaly(event)
-    if args.trace:
-        from repro.obs import write_chrome_trace
-
-        write_chrome_trace(args.trace, tracer)
-        print(f"wrote Chrome trace to {args.trace}", file=sys.stderr)
-    if args.metrics:
-        from repro.obs import service_registry
-
-        with open(args.metrics, "w") as fh:
-            fh.write(service_registry(broker).render())
-        print(f"wrote Prometheus metrics to {args.metrics}", file=sys.stderr)
-    _emit_profile(args, tracer)
-    _emit_cost_report(args, broker=broker)
+    _emit_service_outputs(args, broker, tracer)
     _emit_tsdb(
         args,
         tsdb,

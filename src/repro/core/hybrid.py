@@ -38,7 +38,6 @@ from repro.cluster.simclock import SimClock
 from repro.core.calibration import CostModel
 from repro.core.metrics import MetricsLedger, RunResult, TaskEvent
 from repro.obs.attribution import ion_from_label
-from repro.obs.bus import RunBus
 from repro.obs.tracer import NULL_TRACER
 from repro.obs.tsdb import NULL_TSDB
 from repro.core.scheduler import (
@@ -260,25 +259,28 @@ class HybridRunner:
         cfg = self.config
         tracer = self.tracer
         start = clock.now
-        metrics = MetricsLedger(cfg.n_gpus, cfg.max_queue_length, start_time=start)
-        metrics.evals_saved = sum(t.kernel.evals_saved for t in tasks)
         device_tracks = (
             [tracer.track(self.scope, f"gpu{d}") for d in range(cfg.n_gpus)]
             if tracer.enabled
             else [0] * cfg.n_gpus
         )
         batch_track = tracer.track(self.scope, "batches") if tracer.enabled else 0
-        # The bus is the single ingestion point: the ledger (and, when
-        # tracing, the span tracer) consume the same event stream.
-        bus = RunBus(metrics, tracer, device_tracks)
+        # The scheduler, routes and ranks all report to this one ledger;
+        # when tracing, it mirrors loads and admission outcomes onto the
+        # device tracks.
+        metrics = MetricsLedger(
+            cfg.n_gpus, cfg.max_queue_length, start_time=start,
+            tracer=tracer, device_tracks=device_tracks,
+        )
+        metrics.evals_saved = sum(t.kernel.evals_saved for t in tasks)
         specs = cfg.devices or tuple(cfg.device for _ in range(cfg.n_gpus))
         if cfg.scheduler_kind == "client-server":
             sched: SharedMemoryScheduler = ClientServerScheduler(
-                cfg.n_gpus, cfg.max_queue_length, cfg.rpc_latency_s, bus,
+                cfg.n_gpus, cfg.max_queue_length, cfg.rpc_latency_s, metrics,
                 tie_break=cfg.tie_break,
             )
         elif cfg.scheduler_kind == "random":
-            sched = RandomScheduler(cfg.n_gpus, cfg.max_queue_length, bus)
+            sched = RandomScheduler(cfg.n_gpus, cfg.max_queue_length, metrics)
         elif cfg.scheduler_kind == "weighted":
             reference = tasks[0].kernel if tasks else None
             service = [
@@ -286,15 +288,15 @@ class HybridRunner:
                 for d in range(cfg.n_gpus)
             ]
             sched = WeightedScheduler(
-                cfg.n_gpus, cfg.max_queue_length, service, bus
+                cfg.n_gpus, cfg.max_queue_length, service, metrics
             )
         elif cfg.scheduler_kind == "predictive":
             sched = PredictiveScheduler(
-                cfg.n_gpus, cfg.max_queue_length, bus, tie_break=cfg.tie_break
+                cfg.n_gpus, cfg.max_queue_length, metrics, tie_break=cfg.tie_break
             )
         else:
             sched = SharedMemoryScheduler(
-                cfg.n_gpus, cfg.max_queue_length, bus, tie_break=cfg.tie_break
+                cfg.n_gpus, cfg.max_queue_length, metrics, tie_break=cfg.tie_break
             )
         gpus = [
             SimulatedGPU(
@@ -312,7 +314,7 @@ class HybridRunner:
                     cfg.device
                 )
             route = _PredictiveDispatch(
-                clock, sched, gpus, bus, self.span_cost_model
+                clock, sched, gpus, metrics, self.span_cost_model
             )
             for d in range(cfg.n_gpus):
                 for slot in range(specs[d].max_concurrent_kernels):
@@ -321,7 +323,7 @@ class HybridRunner:
                         name=f"{name}.gpu{d}.disp{slot}",
                     )
         else:
-            route = _DirectSubmit(clock, sched, gpus, bus)
+            route = _DirectSubmit(clock, sched, gpus, metrics)
 
         handles = []
         for rank, my_tasks in enumerate(self._partition(tasks)):
@@ -330,7 +332,7 @@ class HybridRunner:
             )
             handles.append(clock.spawn(
                 self._worker(
-                    rank, my_tasks, clock, sched, route, bus, spectra, rank_track
+                    rank, my_tasks, clock, sched, route, metrics, spectra, rank_track
                 ),
                 name=f"rank{rank}",
             ))
@@ -395,7 +397,8 @@ class HybridRunner:
     # Worker processes
     # ------------------------------------------------------------------
     def _worker(
-        self, rank, my_tasks, clock, sched, route, bus, spectra, rank_track=0
+        self, rank, my_tasks, clock, sched, route, metrics, spectra,
+        rank_track=0,
     ) -> Generator:
         """One rank of Fig. 2: per task, prep, SCHE-ALLOC, a GPU or CPU run.
 
@@ -441,7 +444,7 @@ class HybridRunner:
                     parent=task.trace_parent or None,
                 )
             if cfg.record_trace:
-                bus.on_task_event(TaskEvent(
+                metrics.on_task_event(TaskEvent(
                     rank=rank, task_id=task.task_id, placement="gpu",
                     device=entry.executed_device, start=entry.exec_started,
                     end=clock.now, enqueue=entry.enqueued_at,
@@ -507,8 +510,8 @@ class HybridRunner:
                 # The device died after admission: the route released the
                 # slot; revoke the phantom admission and degrade to the
                 # CPU path (the task must not vanish, the queue not leak).
-                bus.on_admission_revoked(entry.executed_device)
-            bus.on_cpu_task()
+                metrics.on_admission_revoked(entry.executed_device)
+            metrics.on_cpu_task()
             cpu_started = clock.now
             yield cost.cpu_task_fallback_s(task.n_integrals, task.cpu_evals_per_integral)
             self._accumulate(spectra, task, task.run_cpu())
@@ -523,7 +526,7 @@ class HybridRunner:
                     parent=task.trace_parent or None,
                 )
             if cfg.record_trace:
-                bus.on_task_event(TaskEvent(
+                metrics.on_task_event(TaskEvent(
                     rank=rank, task_id=task.task_id, placement="cpu",
                     device=-1, start=cpu_started, end=clock.now,
                     enqueue=cpu_started,
@@ -640,11 +643,11 @@ class _DirectSubmit:
     the GPU's own completion signal fires — no queue hop in between.
     """
 
-    def __init__(self, clock, sched, gpus, bus):
+    def __init__(self, clock, sched, gpus, metrics):
         self.clock = clock
         self.sched = sched
         self.gpus = gpus
-        self.bus = bus
+        self.metrics = metrics
 
     def price(self, task: Task) -> None:
         return None
@@ -666,7 +669,7 @@ class _DirectSubmit:
         entry.service_s = service
         entry.wait_s = max(0.0, self.clock.now - entry.enqueued_at - service)
         entry.exec_started = entry.enqueued_at + entry.wait_s
-        self.bus.on_task_timing(wait_s=entry.wait_s, service_s=service)
+        self.metrics.on_task_timing(wait_s=entry.wait_s, service_s=service)
 
     def release(self, entry: _PendingTask) -> None:
         self.sched.sche_free(entry.device, self.clock.now)
@@ -695,11 +698,11 @@ class _PredictiveDispatch:
     task, so spectra are bit-identical to the depth schedulers'.
     """
 
-    def __init__(self, clock, sched, gpus, bus, model):
+    def __init__(self, clock, sched, gpus, metrics, model):
         self.clock = clock
         self.sched = sched
         self.gpus = gpus
-        self.bus = bus
+        self.metrics = metrics
         self.model = model
         self.pending: list[deque] = [deque() for _ in gpus]
         self._idle: list = []
@@ -800,7 +803,7 @@ class _PredictiveDispatch:
             entry.service_s = measured
             entry.wait_s = entry.exec_started - entry.enqueued_at
             self.model.observe(*_task_cost_key(entry.task), measured)
-            self.bus.on_prediction(entry.cost_s, measured)
-            self.bus.on_task_timing(wait_s=entry.wait_s, service_s=measured)
+            self.metrics.on_prediction(entry.cost_s, measured)
+            self.metrics.on_task_timing(wait_s=entry.wait_s, service_s=measured)
             sched.sche_free(device, clock.now, cost_s=entry.cost_s)
             entry.done.fire(clock, payload)

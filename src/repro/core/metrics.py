@@ -12,8 +12,11 @@ Collected during a hybrid run:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
+
+from repro.obs.tracer import NULL_TRACER
 
 __all__ = ["TaskEvent", "MetricsLedger", "RunResult"]
 
@@ -56,10 +59,20 @@ class MetricsLedger:
     """Accumulates scheduling statistics over one simulated run."""
 
     def __init__(
-        self, n_devices: int, max_queue_length: int, start_time: float = 0.0
+        self,
+        n_devices: int,
+        max_queue_length: int,
+        start_time: float = 0.0,
+        tracer=NULL_TRACER,
+        device_tracks: Sequence[int] = (),
     ) -> None:
         if n_devices < 0 or max_queue_length < 0:
             raise ValueError("negative sizes")
+        #: Span tracer mirroring load changes onto per-device counter
+        #: tracks and admission outcomes onto instants; the default
+        #: :data:`~repro.obs.tracer.NULL_TRACER` records nothing.
+        self.tracer = tracer
+        self.device_tracks = tuple(device_tracks)
         self.n_devices = n_devices
         self.max_queue_length = max_queue_length
         #: Virtual time the run began — non-zero for batches embedded in a
@@ -103,6 +116,8 @@ class MetricsLedger:
         self._current_load[device] = new
         if new > old:
             self.gpu_tasks[device] += 1
+        if self.tracer.enabled and device < len(self.device_tracks):
+            self.tracer.counter(self.device_tracks[device], "load", new)
 
     def on_cpu_task(self) -> None:
         self.cpu_tasks += 1
@@ -112,6 +127,7 @@ class MetricsLedger:
         if self.gpu_tasks[device] <= 0:
             raise ValueError(f"device {device} has no admissions to revoke")
         self.gpu_tasks[device] -= 1
+        self._instant(device, "admission.revoked")
 
     def on_task_timing(self, wait_s: float, service_s: float) -> None:
         self.task_waits.append(wait_s)
@@ -129,6 +145,7 @@ class MetricsLedger:
         self.gpu_tasks[victim] -= 1
         self.steals[thief] += 1
         self.donations[victim] += 1
+        self._instant(thief, "steal", {"victim": victim})
 
     def on_prediction(self, predicted_s: float, measured_s: float) -> None:
         """One cost-model prediction resolved against measured service."""
@@ -137,51 +154,11 @@ class MetricsLedger:
     def on_task_event(self, event: TaskEvent) -> None:
         self.trace.append(event)
 
-    def to_chrome_trace(self) -> list[dict]:
-        """The task timeline as Chrome trace-event JSON objects.
-
-        Load the returned list (``json.dump`` it to a file) in
-        ``chrome://tracing`` or Perfetto: one row per rank, one per GPU,
-        complete ("X") events with microsecond timestamps.
-        """
-        events = []
-        for ev in self.trace:
-            if ev.placement == "gpu":
-                pid, tid = 1, ev.device
-                name = f"task {ev.task_id} (gpu{ev.device})"
-            else:
-                pid, tid = 0, ev.rank
-                name = f"task {ev.task_id} (cpu)"
-            events.append(
-                {
-                    "name": name,
-                    "cat": ev.placement,
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": tid,
-                    "ts": ev.start * 1e6,
-                    "dur": ev.duration * 1e6,
-                    "args": {
-                        "rank": ev.rank,
-                        "task_id": ev.task_id,
-                        "wait_s": ev.wait,
-                    },
-                }
+    def _instant(self, device: int, name: str, args=None) -> None:
+        if self.tracer.enabled and device < len(self.device_tracks):
+            self.tracer.instant(
+                self.device_tracks[device], name, cat="sched", args=args
             )
-        return events
-
-    def gantt_rows(self) -> list[tuple[int, str, float, float]]:
-        """(lane, label, start, end) rows for timeline rendering.
-
-        GPU executions get lanes ``n_ranks + device`` so devices and ranks
-        can be plotted on one chart; here lanes are simply rank for CPU
-        rows and 1000 + device for GPU rows.
-        """
-        rows = []
-        for ev in self.trace:
-            lane = 1000 + ev.device if ev.placement == "gpu" else ev.rank
-            rows.append((lane, f"{ev.placement}:{ev.task_id}", ev.start, ev.end))
-        return rows
 
     def finalize(self, now: float) -> None:
         """Close all residency intervals at the end of the run."""

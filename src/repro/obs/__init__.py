@@ -1,12 +1,10 @@
-"""Unified observability: spans, event buses, trace and metric exports.
+"""Unified observability: spans, trace and metric exports.
 
 One substrate for the whole stack — broker -> runner -> device — on the
 shared virtual clock:
 
 - :mod:`repro.obs.tracer` — the span tracer (:class:`EventTracer`) and
   its zero-cost stand-in (:data:`NULL_TRACER`);
-- :mod:`repro.obs.bus` — fan-out buses that keep the metrics ledgers
-  derived consumers of the same event stream;
 - :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto-loadable),
   a schema validator, and terminal Gantt/summary renderers;
 - :mod:`repro.obs.prom` — Prometheus-style registry, text exposition,
@@ -28,7 +26,7 @@ shared virtual clock:
   store (``rate``, ``increase``, ``histogram_quantile``, matchers,
   binary ops);
 - :mod:`repro.obs.anomaly` — online EWMA+MAD control bands per series
-  emitting :class:`AnomalyEvent` onto the bus;
+  emitting :class:`AnomalyEvent` into the service telemetry;
 - :mod:`repro.obs.dash` — deterministic self-contained HTML dashboards
   (inline SVG) with SLO/anomaly annotations and store federation.
 """
@@ -43,7 +41,6 @@ from repro.obs.attribution import (
     kernel_root_map,
     render_cost_report,
 )
-from repro.obs.bus import RunBus, ServiceBus
 from repro.obs.dash import Panel, SERVICE_PANELS, federate, render_dashboard
 from repro.obs.flight import FlightRecorder
 from repro.obs.export import (
@@ -101,12 +98,10 @@ __all__ = [
     "QueryError",
     "Rule",
     "RuleState",
-    "RunBus",
     "SERVICE_PANELS",
     "SLOEngine",
     "Sample",
     "Series",
-    "ServiceBus",
     "TimeSeriesStore",
     "Transition",
     "WallClock",

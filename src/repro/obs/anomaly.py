@@ -17,10 +17,11 @@ of any band — while gauges are observed raw.  Histogram ``_bucket``
 series are skipped: quantile behaviour is better watched through the
 query engine and SLO rules.
 
-Events flow onto the existing bus (``ServiceBus.on_anomaly``) and can
-arm the :class:`~repro.obs.flight.FlightRecorder`, so a utilization
-collapse or latency spike dumps a postmortem bundle with the trailing
-series window included.
+Events land in the service telemetry (``ServiceTelemetry.on_anomaly``,
+which also mirrors each to a trace instant) and can arm the
+:class:`~repro.obs.flight.FlightRecorder`, so a utilization collapse or
+latency spike dumps a postmortem bundle with the trailing series window
+included.
 """
 
 from __future__ import annotations

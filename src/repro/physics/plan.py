@@ -48,7 +48,7 @@ from repro.physics.spectrum import EnergyGrid, Spectrum
 from repro.physics.windows import GAUNT_SUP
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.trace import Tracer, Track
+    from repro.obs.tracer import EventTracer
 
 __all__ = [
     "PLAN_CACHE",
@@ -302,9 +302,9 @@ class PlanCache:
         self.stats = PlanCacheStats()
         self._plans: OrderedDict[PlanKey, SpectrumPlan] = OrderedDict()
         self._lock = threading.RLock()
-        self._tracer: "Tracer | None" = None
+        self._tracer: "EventTracer | None" = None
 
-    def bind_tracer(self, tracer: "Tracer | None") -> None:
+    def bind_tracer(self, tracer: "EventTracer | None") -> None:
         """Route hit/miss/compile instants to a tracer (or unbind)."""
         self._tracer = tracer
 

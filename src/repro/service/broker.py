@@ -41,7 +41,6 @@ from repro.core.calibration import CostModel
 from repro.core.hybrid import HybridConfig, HybridRunner
 from repro.obs.attribution import Attribution, AttributionResult
 from repro.obs.attribution import CostModel as SpanCostModel
-from repro.obs.bus import ServiceBus
 from repro.obs.tracer import NULL_TRACER
 from repro.obs.tsdb import NULL_TSDB
 from repro.parallel.executor import BACKENDS, ExecutionBackend, get_backend
@@ -252,7 +251,7 @@ class SpectrumBroker:
         #: ``enabled`` attribute read.
         self.tsdb = tsdb if tsdb is not None else NULL_TSDB
         #: Optional :class:`~repro.obs.anomaly.AnomalyDetector`, scanned
-        #: after each scrape; events flow onto the service bus.
+        #: after each scrape; events land in the telemetry ledger.
         self.anomaly = anomaly
         self.config = config or ServiceConfig()
         self.db = db or AtomicDatabase(
@@ -279,10 +278,8 @@ class SpectrumBroker:
         )
         self.coalescer = RequestCoalescer(tracer=self.tracer, track=coalesce_track)
         self.telemetry = ServiceTelemetry(
-            LANES, latency_reservoir=self.config.latency_reservoir
-        )
-        self.bus = ServiceBus(
-            self.telemetry,
+            LANES,
+            latency_reservoir=self.config.latency_reservoir,
             tracer=self.tracer,
             queue_track=queue_track,
             lane_tracks=lane_tracks,
@@ -413,9 +410,9 @@ class SpectrumBroker:
             raise RuntimeError("broker not started; call start() first")
         now = self.clock.now
         if retry:
-            self.bus.on_retry(lane)
+            self.telemetry.on_retry(lane)
         else:
-            self.bus.on_arrival(lane)
+            self.telemetry.on_arrival(lane)
         key = request.key
         ticket = Ticket(request=request, lane=lane, key=key, submitted_at=now)
         traced = self.tracer.enabled
@@ -436,7 +433,7 @@ class SpectrumBroker:
                     args={"key": key[:8], "outcome": "cache_hit"},
                 )
                 self.tracer.async_end(lt, "request", ticket.trace_id, cat="request")
-            self.bus.on_completion(
+            self.telemetry.on_completion(
                 lane, 0.0, cached=True, coalesced=False, trace_id=ticket.trace_id
             )
             return ticket
@@ -463,7 +460,7 @@ class SpectrumBroker:
                     self.tracer.async_end(
                         lt, "request", ticket.trace_id, cat="request"
                     )
-                self.bus.on_completion(
+                self.telemetry.on_completion(
                     lane,
                     0.0,
                     cached=False,
@@ -499,7 +496,7 @@ class SpectrumBroker:
         if self.queue_depth >= self.config.queue_capacity:
             ticket.status = "rejected"
             ticket.retry_after_s = self.config.retry_after_s
-            self.bus.on_rejection(lane)
+            self.telemetry.on_rejection(lane)
             return ticket
 
         entry = self.coalescer.open(key, request, lane, now)
@@ -511,7 +508,7 @@ class SpectrumBroker:
                 self._lane_tracks[lane], "request", ticket.trace_id,
                 cat="request", args={"key": key[:8], "outcome": "queued"},
             )
-        self.bus.on_queue_depth(self.queue_depth, now)
+        self.telemetry.on_queue_depth(self.queue_depth, now)
         self._wake_worker()
         return ticket
 
@@ -573,6 +570,25 @@ class SpectrumBroker:
             )
         return self._payload_backend
 
+    def _scrape(self, registry, now: float) -> None:
+        """Scrape ``registry`` into the store, then scan it for anomalies."""
+        self.tsdb.scrape(registry, now)
+        if self.anomaly is not None:
+            for event in self.anomaly.scan(self.tsdb):
+                self.telemetry.on_anomaly(event)
+
+    def finish(self) -> None:
+        """Close the telemetry at the current virtual time, once drained.
+
+        With a store attached, one closing scrape follows so the stored
+        series end on the finalized registry state (residency folded,
+        ``end_time`` stamped).
+        """
+        now = self.clock.now
+        self.telemetry.finalize(now)
+        if self.tsdb.enabled:
+            self._scrape(self.registry(), now)
+
     def close(self) -> None:
         """Release the payload worker pool (no-op for the serial backend)."""
         if self._payload_backend is not None:
@@ -610,7 +626,7 @@ class SpectrumBroker:
             while queue and len(batch) < self.config.batch_max:
                 batch.append(queue.popleft())
         if batch:
-            self.bus.on_queue_depth(self.queue_depth, self.clock.now)
+            self.telemetry.on_queue_depth(self.queue_depth, self.clock.now)
         return batch
 
     def _worker(self, wid: int) -> Generator:
@@ -641,7 +657,7 @@ class SpectrumBroker:
                 # pile onto the same fused launch.  An interactive
                 # entry anywhere in the queue short-circuits the wait —
                 # latency-sensitive requests never pay for batch width.
-                self.bus.on_window_wait()
+                self.telemetry.on_window_wait()
                 yield window
             batch = self._drain_batch()
             if not batch:
@@ -651,7 +667,7 @@ class SpectrumBroker:
                 continue
             if batching:
                 groups = self._assembler.assemble(batch)
-                self.bus.on_megabatch([g.width for g in groups])
+                self.telemetry.on_megabatch([g.width for g in groups])
             else:
                 groups = [MegabatchGroup((entry,)) for entry in batch]
             payloads = self._group_payloads(groups, batching)
@@ -779,7 +795,7 @@ class SpectrumBroker:
                                 cat="request",
                                 args={"latency_s": ticket.latency_s},
                             )
-                        self.bus.on_completion(
+                        self.telemetry.on_completion(
                             ticket.lane,
                             ticket.latency_s,
                             cached=False,
@@ -787,7 +803,7 @@ class SpectrumBroker:
                             trace_id=ticket.trace_id,
                         )
                     entry.done.fire(self.clock, spectrum)
-            self.bus.on_batch(result, len(batch))
+            self.telemetry.on_batch(result, len(batch))
             if self.attribution is not None:
                 # Fold the batch's new spans into the ledger and feed the
                 # completed tasks' measured costs to the online model —
@@ -803,10 +819,7 @@ class SpectrumBroker:
             registry = None
             if self.tsdb.enabled and self.tsdb.due(now):
                 registry = self.registry()
-                self.tsdb.scrape(registry, now)
-                if self.anomaly is not None:
-                    for event in self.anomaly.scan(self.tsdb):
-                        self.bus.on_anomaly(event)
+                self._scrape(registry, now)
             if self.slo is not None and self.slo.rules:
                 self.slo.sample(
                     registry if registry is not None else self.registry(), now
@@ -896,12 +909,5 @@ def run_trace(
         clock.run()
     finally:
         broker.close()
-    broker.bus.finalize(clock.now)
-    if broker.tsdb.enabled:
-        # One closing scrape so the stored series end on the finalized
-        # registry state (residency folded, end_time stamped).
-        broker.tsdb.scrape(broker.registry(), clock.now)
-        if broker.anomaly is not None:
-            for event in broker.anomaly.scan(broker.tsdb):
-                broker.bus.on_anomaly(event)
+    broker.finish()
     return broker, tickets

@@ -7,10 +7,12 @@ Per-batch :class:`~repro.core.metrics.RunResult` ledgers from the hybrid
 runner are folded in so one report spans the whole stack — admission,
 queueing, caching, and device placement.
 
-The hooks are fed through :class:`repro.obs.bus.ServiceBus`, which makes
-this ledger one *derived consumer* of the service event stream (the span
-tracer being the other); calling the hooks directly remains supported —
-a ledger is a valid sink for its own API.
+The broker calls the hooks directly.  With a tracer attached
+(``tracer``/``queue_track``/``lane_tracks``) the same hooks also mirror
+rejections, retries, megabatch assembly, window waits and anomalies to
+instants and the queue depth to a counter track, so the ledger and the
+trace read one event stream; the default
+:data:`~repro.obs.tracer.NULL_TRACER` records nothing.
 
 Latency samples are exact by default; for long trace replays pass
 ``latency_reservoir`` to cap per-lane memory with deterministic
@@ -26,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.metrics import RunResult
+from repro.obs.tracer import NULL_TRACER
 
 __all__ = ["LaneStats", "ServiceTelemetry"]
 
@@ -149,9 +152,15 @@ class ServiceTelemetry:
         self,
         lanes: tuple[str, ...] = ("interactive", "survey"),
         latency_reservoir: Optional[int] = None,
+        tracer=NULL_TRACER,
+        queue_track: int = 0,
+        lane_tracks: Optional[dict[str, int]] = None,
     ) -> None:
         if not lanes:
             raise ValueError("need at least one lane")
+        self.tracer = tracer
+        self.queue_track = queue_track
+        self.lane_tracks = dict(lane_tracks or {})
         self.lanes: dict[str, LaneStats] = {
             lane: LaneStats(reservoir=latency_reservoir) for lane in lanes
         }
@@ -174,7 +183,7 @@ class ServiceTelemetry:
         self.batched_temperatures = 0
         self.batch_coalesced_requests = 0
         self.batch_window_waits = 0
-        # Anomaly events emitted by an attached detector (via the bus).
+        # Anomaly events emitted by an attached detector.
         self.anomalies = 0
         #: Summed device load residency across batches (device x load
         #: virtual seconds), grown to the widest batch shape seen.
@@ -196,16 +205,18 @@ class ServiceTelemetry:
             ) from None
 
     # ------------------------------------------------------------------
-    # Hooks called by the broker (through the ServiceBus)
+    # Hooks called by the broker
     # ------------------------------------------------------------------
     def on_arrival(self, lane: str) -> None:
         self._lane(lane).arrivals += 1
 
     def on_rejection(self, lane: str) -> None:
         self._lane(lane).rejections += 1
+        self._instant(self._lane_track(lane), "rejected", "admission")
 
     def on_retry(self, lane: str) -> None:
         self._lane(lane).retries += 1
+        self._instant(self._lane_track(lane), "retry", "admission")
 
     def on_completion(
         self,
@@ -231,6 +242,11 @@ class ServiceTelemetry:
 
     def on_queue_depth(self, depth: int, now: float) -> None:
         """Close the residency interval at the old depth, open the new."""
+        self._set_depth(depth, now)
+        if self.tracer.enabled:
+            self.tracer.counter(self.queue_track, "queue_depth", depth)
+
+    def _set_depth(self, depth: int, now: float) -> None:
         if depth < 0:
             raise ValueError("queue depth cannot be negative")
         self._depth_residency[self._depth] = (
@@ -252,14 +268,22 @@ class ServiceTelemetry:
         self.batch_coalesced_requests += sum(
             int(w) for w in widths if w >= 2
         )
+        self._instant(
+            self.queue_track,
+            "megabatch.assembled",
+            "batch",
+            {"groups": len(widths), "widths": list(widths)},
+        )
 
     def on_window_wait(self) -> None:
         """One admission-window wait taken by a service worker."""
         self.batch_window_waits += 1
+        self._instant(self.queue_track, "batch.window_wait", "batch")
 
     def on_anomaly(self, event) -> None:
-        """One anomaly event emitted by an attached detector."""
+        """One :class:`~repro.obs.anomaly.AnomalyEvent` from a detector."""
         self.anomalies += 1
+        self._instant(self.queue_track, "anomaly", "anomaly", event.as_dict())
 
     def on_batch(self, result: RunResult, n_requests: int) -> None:
         """Fold one dispatched batch's hybrid ledger into the totals."""
@@ -295,8 +319,15 @@ class ServiceTelemetry:
 
     def finalize(self, now: float) -> None:
         """Close the open residency interval at the end of the run."""
-        self.on_queue_depth(self._depth, now)
+        self._set_depth(self._depth, now)
         self.end_time = now
+
+    def _lane_track(self, lane: str) -> int:
+        return self.lane_tracks.get(lane, self.queue_track)
+
+    def _instant(self, track: int, name: str, cat: str, args=None) -> None:
+        if self.tracer.enabled:
+            self.tracer.instant(track, name, cat=cat, args=args)
 
     # ------------------------------------------------------------------
     # Derived quantities

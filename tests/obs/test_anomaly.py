@@ -1,4 +1,4 @@
-"""Anomaly detection: control bands, counter deltas, bus/flight wiring."""
+"""Anomaly detection: control bands, counter deltas, telemetry/flight wiring."""
 
 import pytest
 

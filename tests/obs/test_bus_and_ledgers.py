@@ -1,70 +1,114 @@
-"""Event buses, the latency reservoir, and TaskEvent timing fields."""
+"""Ledger trace mirroring, the latency reservoir, and TaskEvent timing fields."""
 
 import numpy as np
 import pytest
 
 from repro.core.metrics import MetricsLedger, TaskEvent
-from repro.obs import EventTracer, RunBus, ServiceBus
+from repro.obs import NULL_TRACER, EventTracer
 from repro.cluster.simclock import SimClock
 from repro.service.telemetry import LaneStats, ServiceTelemetry
 
 
-class TestRunBus:
-    def test_forwards_to_bare_ledger(self):
+def _device_ledger(tracer=NULL_TRACER, n_devices=1):
+    tracks = tuple(tracer.track("node", f"gpu{d}") for d in range(n_devices))
+    return MetricsLedger(
+        n_devices=n_devices, max_queue_length=4,
+        tracer=tracer, device_tracks=tracks,
+    )
+
+
+class TestMetricsLedgerTracer:
+    def test_bare_ledger_is_a_scheduler_sink(self):
         ledger = MetricsLedger(n_devices=2, max_queue_length=4)
-        bus = RunBus(ledger)
-        bus.on_load_change(0, 0, 1, 0.0)
-        bus.on_load_change(0, 1, 0, 1.0)
-        bus.on_cpu_task()
-        bus.on_task_timing(0.25, 1.0)
+        ledger.on_load_change(0, 0, 1, 0.0)
+        ledger.on_load_change(0, 1, 0, 1.0)
+        ledger.on_cpu_task()
+        ledger.on_task_timing(0.25, 1.0)
         assert ledger.cpu_tasks == 1
         assert ledger.load_residency[0, 1] == pytest.approx(1.0)
 
-    def test_mirrors_load_to_counter_track(self):
-        ledger = MetricsLedger(n_devices=1, max_queue_length=4)
+    def test_load_counter_lands_on_device_track(self):
         tracer = EventTracer(SimClock())
-        track = tracer.track("node", "gpu0")
-        bus = RunBus(ledger, tracer, (track,))
-        bus.on_load_change(0, 0, 2, 0.0)
+        ledger = _device_ledger(tracer, n_devices=2)
+        ledger.on_load_change(1, 0, 2, 0.0)
         counters = [e for e in tracer.events if e.ph == "C"]
-        assert counters and counters[0].args == {"value": 2}
+        assert len(counters) == 1
+        assert counters[0].name == "load"
+        assert counters[0].track == ledger.device_tracks[1]
+        assert counters[0].args == {"value": 2}
 
-    def test_ledger_math_identical_through_bus(self):
-        direct = MetricsLedger(n_devices=1, max_queue_length=4)
-        routed = MetricsLedger(n_devices=1, max_queue_length=4)
-        bus = RunBus(routed, EventTracer(SimClock()), (0,))
-        for ledger_call in (direct, bus):
-            ledger_call.on_load_change(0, 0, 1, 0.5)
-            ledger_call.on_load_change(0, 1, 2, 1.0)
-            ledger_call.on_load_change(0, 2, 0, 3.0)
-            ledger_call.on_task_timing(0.1, 0.9)
-        assert np.array_equal(direct.load_residency, routed.load_residency)
-        assert direct.task_waits == routed.task_waits
-        assert direct.task_services == routed.task_services
-
-
-class TestServiceBus:
-    def test_forwards_and_mirrors(self):
-        tel = ServiceTelemetry(("interactive",))
+    def test_admission_outcomes_become_instants(self):
         tracer = EventTracer(SimClock())
-        bus = ServiceBus(
-            tel,
-            tracer,
+        ledger = _device_ledger(tracer, n_devices=2)
+        ledger.on_load_change(0, 0, 1, 0.0)
+        ledger.on_load_change(0, 1, 2, 0.0)
+        ledger.on_admission_revoked(0)
+        ledger.on_steal(0, 1)
+        instants = [(e.name, e.track, e.args) for e in tracer.events if e.ph == "i"]
+        assert instants == [
+            ("admission.revoked", ledger.device_tracks[0], None),
+            ("steal", ledger.device_tracks[1], {"victim": 0}),
+        ]
+
+    def test_ledger_math_identical_with_tracer(self):
+        plain = MetricsLedger(n_devices=1, max_queue_length=4)
+        traced = _device_ledger(EventTracer(SimClock()))
+        for ledger in (plain, traced):
+            ledger.on_load_change(0, 0, 1, 0.5)
+            ledger.on_load_change(0, 1, 2, 1.0)
+            ledger.on_load_change(0, 2, 0, 3.0)
+            ledger.on_task_timing(0.1, 0.9)
+            ledger.finalize(4.0)
+        assert np.array_equal(plain.load_residency, traced.load_residency)
+        assert np.array_equal(plain.gpu_tasks, traced.gpu_tasks)
+        assert plain.task_waits == traced.task_waits
+        assert plain.task_services == traced.task_services
+
+
+class TestServiceTelemetryTracer:
+    @staticmethod
+    def _drive(tel):
+        tel.on_arrival("interactive")
+        tel.on_rejection("interactive")
+        tel.on_retry("interactive")
+        tel.on_queue_depth(3, 0.0)
+        tel.finalize(1.0)
+
+    def test_records_admission_and_queue_depth(self):
+        tracer = EventTracer(SimClock())
+        tel = ServiceTelemetry(
+            ("interactive",),
+            tracer=tracer,
             queue_track=tracer.track("service", "queue"),
             lane_tracks={"interactive": tracer.track("service", "lane.interactive")},
         )
-        bus.on_arrival("interactive")
-        bus.on_rejection("interactive")
-        bus.on_retry("interactive")
-        bus.on_queue_depth(3, 0.0)
-        bus.finalize(1.0)
+        self._drive(tel)
         stats = tel.lanes["interactive"]
         assert (stats.arrivals, stats.rejections, stats.retries) == (1, 1, 1)
         assert tel.max_depth == 3
-        names = [e.name for e in tracer.events]
-        assert "rejected" in names
-        assert "retry" in names
-        assert "queue_depth" in names
+        events = [(e.ph, e.name, e.track) for e in tracer.events]
+        lane, queue = tel.lane_tracks["interactive"], tel.queue_track
+        # finalize closes the residency interval without a second sample.
+        assert events == [
+            ("i", "rejected", lane),
+            ("i", "retry", lane),
+            ("C", "queue_depth", queue),
+        ]
+
+    def test_ledger_math_identical_with_tracer(self):
+        plain = ServiceTelemetry(("interactive",))
+        tracer = EventTracer(SimClock())
+        traced = ServiceTelemetry(("interactive",), tracer=tracer)
+        for tel in (plain, traced):
+            self._drive(tel)
+            tel.on_megabatch([2, 1])
+            tel.on_window_wait()
+        assert plain.as_dict() == traced.as_dict()
+        assert plain.megabatch_widths == traced.megabatch_widths
+        assert plain.batch_window_waits == traced.batch_window_waits
+        assert [e.name for e in tracer.events if e.ph == "i"] == [
+            "rejected", "retry", "megabatch.assembled", "batch.window_wait",
+        ]
 
 
 class TestLatencyReservoir:
