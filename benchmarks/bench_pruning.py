@@ -12,8 +12,8 @@ the Fig. 7 workload (T = 1e7 K, 10-45 Angstrom) and reports, per setting:
 
 Two structural effects produce the win: window pruning skips the
 (level, bin) pairs whose contribution fits inside the tail budget, and
-the shared-abscissa fast path computes ``exp(-x/kT)`` (and the Gaunt
-``cbrt``) once per ion instead of once per level.
+the shared-abscissa fast path tabulates ``exp(-x/kT)`` (and the Gaunt
+``cbrt``) once per spectrum instead of once per level.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run a tiny configuration (few ions,
 200 bins) without the speedup floor — the CI smoke mode.

@@ -44,6 +44,8 @@ from repro.parallel.executor import (
 )
 from repro.physics.ionbalance import ion_density
 from repro.physics.rrc import (
+    GAUNT_BETA,
+    GAUNT_GAMMA,
     RRCLevelParams,
     gaunt_factor,
     make_level_integrand,
@@ -238,6 +240,65 @@ def _window_integrand(energies: np.ndarray, c_l: np.ndarray, kt: float, gaunt: b
     return f
 
 
+#: One-slot memo of :func:`_node_tables`: ``(kt, pieces, edges, tables)``
+#: with a private read-only copy of the grid edges.  Replaced whole by a
+#: single assignment, so concurrent threads see either the old or the new
+#: slot, never a mix.
+_NODE_MEMO: tuple[float, int, np.ndarray, tuple[np.ndarray, ...]] | None = None
+
+
+def _node_tables(
+    grid: EnergyGrid, kt: float, pieces: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ion-independent tables over every bin's Simpson nodes ``x``.
+
+    Returns read-only ``(u, u2, ehw)`` of shape ``(n_bins, pieces + 1)``:
+    ``u = cbrt(x)``, ``u2 = u**2`` and ``ehw = exp(-x/kT) * h * w`` (node
+    value times its bin's Simpson weight).  They depend only on
+    ``(grid.edges, kT, pieces)``, so every ion of one spectrum shares one
+    build; the last build is kept in :data:`_NODE_MEMO`.
+    """
+    global _NODE_MEMO
+    memo = _NODE_MEMO
+    if (
+        memo is not None
+        and memo[0] == kt
+        and memo[1] == pieces
+        and np.array_equal(memo[2], grid.edges)
+    ):
+        return memo[3]
+    edges = grid.edges.copy()
+    frac = unit_fractions(pieces + 1)
+    w = simpson_weights(pieces)
+    widths = grid.widths
+    x = grid.lower[:, None] + widths[:, None] * frac[None, :]
+    with np.errstate(under="ignore"):
+        ehw = np.exp(-x / kt)
+    ehw *= (widths / pieces)[:, None] * w[None, :]
+    u = np.cbrt(x)
+    u2 = u * u
+    for arr in (edges, u, u2, ehw):
+        arr.setflags(write=False)
+    _NODE_MEMO = (kt, pieces, edges, (u, u2, ehw))
+    return u, u2, ehw
+
+
+def _gaunt_ratio_terms(
+    energies: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-level ``(pref, m, k)`` of the factored Gaunt ratio.
+
+    For ``x >= I`` (so the ``max(x/I, 1)`` clamp is a no-op),
+    ``c = u / cbrt(I)`` with ``u = cbrt(x)`` turns
+    ``g = (a + b c) / (d + e c^2)`` into ``pref * (u + m) / (u^2 + k)``
+    with ``pref = (b/e) cbrt(I)``, ``m = (a/b) cbrt(I)`` and
+    ``k = (d/e) cbrt(I)^2``; ``a = 1 - b`` and ``d = 1 - e``.
+    """
+    b, e = GAUNT_BETA, GAUNT_GAMMA
+    cbrt_i = np.cbrt(energies)
+    return (b / e) * cbrt_i, ((1.0 - b) / b) * cbrt_i, ((1.0 - e) / e) * cbrt_i**2
+
+
 def _fused_simpson_windows(
     db: AtomicDatabase,
     ion: Ion,
@@ -256,13 +317,14 @@ def _fused_simpson_windows(
        window (:func:`repro.physics.windows.level_windows`) are
        evaluated; levels whose window is empty are skipped outright.
     2. **Shared abscissae** — every full bin (not split by a
-       recombination edge) uses the same Simpson nodes for every level,
-       so ``exp(-x/kT)`` (and the Gaunt factor's ``cbrt``) is computed
-       once per ion and each level only rescales it by
-       ``C_l * exp(I_l/kT)``.  Edge bins keep per-level nodes.  When the
-       rescaling would overflow or cost more precision than ``tail_tol``
-       allows, the kernel falls back to the generic CSR evaluation with
-       unfactored exponentials.
+       recombination edge) uses the same Simpson nodes for every level
+       and every ion, so ``exp(-x/kT)`` and the Gaunt factor's ``cbrt``
+       are tabulated once per spectrum (:func:`_node_tables`) and each
+       level only rescales them by ``C_l * exp(I_l/kT)``; the Gaunt
+       ratio is factored per level (:func:`_gaunt_ratio_terms`).  Edge
+       bins keep per-level nodes.  When the rescaling would overflow or
+       cost more precision than ``tail_tol`` allows, the kernel falls
+       back to the generic CSR evaluation with unfactored exponentials.
 
     Results agree with :func:`_fused_simpson` to within ``tail_tol``
     (dropped tail mass) plus floating-point reassociation noise many
@@ -298,13 +360,12 @@ def _fused_simpson_windows(
             pieces=pieces,
         )
 
-    w = simpson_weights(pieces)
-    frac = unit_fractions(pieces + 1)
-
     # --- edge bins: the one bin per level split by its recombination
     # edge needs level-specific abscissae (integration from I_l up).
     has_edge = active & (grid.lower[np.minimum(first, grid.n_bins - 1)] < energies)
     if has_edge.any():
+        w = simpson_weights(pieces)
+        frac = unit_fractions(pieces + 1)
         b_e = first[has_edge]
         i_e = energies[has_edge][:, None]
         width_e = grid.upper[b_e][:, None] - i_e
@@ -317,26 +378,21 @@ def _fused_simpson_windows(
         # Several levels can share one edge bin -> unbuffered scatter-add.
         np.add.at(out, b_e, vals)
 
-    # --- full bins: shared abscissae across the union of windows.
+    # --- full bins: shared abscissae, tabulated once per spectrum.
     start = np.minimum(np.where(has_edge, first + 1, first), cutoff)
     full = start < cutoff
     if not full.any():
         return out
-    bmin = int(start[full].min())
-    bmax = int(cutoff[full].max())
-    lo_u = grid.lower[bmin:bmax]
-    width_u = grid.widths[bmin:bmax]
-    x_sh = lo_u[:, None] + width_u[:, None] * frac[None, :]
-    with np.errstate(under="ignore"):
-        e_sh = np.exp(-x_sh / kt)
-    h_u = width_u / pieces
+    u, u2, ehw = _node_tables(grid, kt, pieces)
     scale = c_l * np.exp(np.where(full, energies, 0.0) / kt)
 
     if not gaunt:
         # The integrand factorizes completely: each level contributes
         # scale_l * base[b] on its window, so accumulate the per-bin sum
         # of scales with a difference array (O(levels + bins) adds).
-        base = h_u * (e_sh @ w)
+        bmin = int(start[full].min())
+        bmax = int(cutoff[full].max())
+        base = ehw[bmin:bmax].sum(axis=1)
         diff = np.zeros(bmax - bmin + 1)
         np.add.at(diff, start[full] - bmin, scale[full])
         np.add.at(diff, cutoff[full] - bmin, -scale[full])
@@ -344,27 +400,23 @@ def _fused_simpson_windows(
         return out
 
     # With the Gaunt correction the per-level factor g(E / I_l) remains,
-    # but its cbrt is shared: g(x/I) = (a + b*c) / (d + e*c^2) with
-    # c = cbrt(x) / cbrt(I), so each level costs only cheap arithmetic
-    # on its own window slice (small enough to stay cache-resident —
-    # chunking levels here would spill the scratch out of cache).
-    cbrt_sh = np.cbrt(x_sh)
-    ehw = e_sh * (h_u[:, None] * w[None, :])
-    inv_cbrt = 1.0 / np.cbrt(energies)
-    for li in np.flatnonzero(full):
-        s = int(start[li]) - bmin
-        e = int(cutoff[li]) - bmin
-        c = cbrt_sh[s:e] * inv_cbrt[li]
-        np.maximum(c, 1.0, out=c)
-        num = 0.1728 * c
-        num += 1.0 - 0.1728
-        den = c * c
-        den *= 0.0496
-        den += 1.0 - 0.0496
-        num /= den
-        out[bmin + s : bmin + e] += scale[li] * np.einsum(
-            "bp,bp->b", num, ehw[s:e]
-        )
+    # in the factored form of :func:`_gaunt_ratio_terms`: its scalar
+    # folds into the level's scale, leaving two adds into scratch, one
+    # divide and one dot over the level's window of the shared tables.
+    pref, m_l, k_l = _gaunt_ratio_terms(energies)
+    scale *= pref
+    rows = np.flatnonzero(full)
+    span = int((cutoff[rows] - start[rows]).max())
+    num = np.empty((span, pieces + 1))
+    den = np.empty((span, pieces + 1))
+    for li in rows:
+        lo = int(start[li])
+        hi = int(cutoff[li])
+        n = hi - lo
+        np.add(u[lo:hi], m_l[li], out=num[:n])
+        np.add(u2[lo:hi], k_l[li], out=den[:n])
+        np.divide(num[:n], den[:n], out=num[:n])
+        out[lo:hi] += scale[li] * np.einsum("bp,bp->b", num[:n], ehw[lo:hi])
     return out
 
 

@@ -77,6 +77,13 @@ class RRCLevelParams:
         return self.kt_kev / K_B_KEV
 
 
+#: Slopes of :func:`gaunt_factor`'s ratio form
+#: ``g = (1 + GAUNT_BETA (c - 1)) / (1 + GAUNT_GAMMA (c**2 - 1))``,
+#: ``c = cbrt(max(x, 1))``.
+GAUNT_BETA = 0.1728
+GAUNT_GAMMA = 0.0496
+
+
 def gaunt_factor(x: np.ndarray) -> np.ndarray:
     """Bound-free Gaunt-like correction g(E_gamma / I) >= 0.
 
@@ -90,7 +97,7 @@ def gaunt_factor(x: np.ndarray) -> np.ndarray:
     # Ratio form: equals 1 at threshold, rises gently, then decays like
     # x^(-1/3) far above it — positive everywhere, unlike the truncated
     # Karzas-Latter series whose quadratic term goes negative at x ~ 250.
-    return (1.0 + 0.1728 * (cbrt - 1.0)) / (1.0 + 0.0496 * (cbrt**2 - 1.0))
+    return (1.0 + GAUNT_BETA * (cbrt - 1.0)) / (1.0 + GAUNT_GAMMA * (cbrt**2 - 1.0))
 
 
 def rrc_prefactor(p: RRCLevelParams) -> float:
